@@ -15,7 +15,8 @@ def pfaffian(x: SkewMatrixLower, b=None):
     Pf(T) for the tridiagonal factor is the product of (-tau[2r]) under the
     convention Pf([[0, a], [-a, 0]]) = a, and each nontrivial pivot flips
     the sign.  Odd dimension gives exactly 0; m = 0 gives 1.  Exact scalar
-    types are preserved.
+    types are preserved.  Raises OverflowError when |Pf| exceeds the
+    largest finite value of the floating-point type.
     """
     m = x.m
     if m == 0:
@@ -24,6 +25,11 @@ def pfaffian(x: SkewMatrixLower, b=None):
         return 0.0 if x.data.dtype != object else 0
     res = ltlt_blk_piv(x, b=b or min(DEFAULT_BLOCK, m))
     tau = res.t.tau
+    if tau.dtype != object:
+        with np.errstate(divide="ignore"):
+            logabs = float(np.sum(np.log(np.abs(tau[0::2]))))
+        if logabs > np.log(np.finfo(tau.dtype).max):
+            raise OverflowError(f"Pfaffian overflows: log|Pf| = {logabs:.1f}")
     val = res.p.sign()
     for i in range(0, m - 1, 2):
         val = val * (-tau[i])

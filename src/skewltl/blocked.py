@@ -42,8 +42,6 @@ class Features:
 
     * ``fused_l2``: fused level-2 kernels (vs. two rank-1 passes and a
       materialized tridiagonal matrix-vector product).
-    * ``parallel_l2``: let level-2 kernels and pivot application use the
-      global worker pool (level-3 always may).
     * ``external_t``: tau in an external vector with explicit unit
       subdiagonal entries, enabling single fused trailing updates; when
       off, Variant 1 falls back to the split stripe + sandwich updates.
@@ -53,24 +51,20 @@ class Features:
     """
 
     fused_l2: bool = True
-    parallel_l2: bool = False
     external_t: bool = True
     fused_l3: bool = True
-
-    @property
-    def l2_workers(self):
-        return None if self.parallel_l2 else 1
 
 
 #: Optimization ladder: cumulative feature steps; step5 additionally
 #: switches the driver from blk-var1 to blk-var2b.
 LADDER = {
-    "step0": Features(fused_l2=False, parallel_l2=False, external_t=False, fused_l3=False),
-    "step1": Features(fused_l2=True, parallel_l2=False, external_t=False, fused_l3=False),
-    "step2": Features(fused_l2=True, parallel_l2=True, external_t=False, fused_l3=False),
-    "step3": Features(fused_l2=True, parallel_l2=True, external_t=True, fused_l3=False),
-    "step4": Features(fused_l2=True, parallel_l2=True, external_t=True, fused_l3=True),
-    "step5": Features(fused_l2=True, parallel_l2=True, external_t=True, fused_l3=True),
+    "step0": Features(fused_l2=False, external_t=False, fused_l3=False),
+    "step1": Features(fused_l2=True, external_t=False, fused_l3=False),
+    # step2 equals step1: parallelism is the BLAS's own
+    "step2": Features(fused_l2=True, external_t=False, fused_l3=False),
+    "step3": Features(fused_l2=True, external_t=True, fused_l3=False),
+    "step4": Features(fused_l2=True, external_t=True, fused_l3=True),
+    "step5": Features(fused_l2=True, external_t=True, fused_l3=True),
 }
 LADDER_VARIANT = {name: ("blk-var2b" if name == "step5" else "blk-var1") for name in LADDER}
 
@@ -88,18 +82,18 @@ def _require_external_t(f, who):
 def _run_panel(work, tau, base, nelim, variant, f, carry, pivot=False, pivots=None):
     climit = base + nelim
     lo = base - 1 if carry else base
-    kw = dict(workers=f.l2_workers, fused_l2=f.fused_l2, external_t=f.external_t)
+    kw = dict(fused_l2=f.fused_l2, external_t=f.external_t)
     with instrument.scope("panel"):
         if variant == "ll":
             _panel_ll(work, tau, base, nelim, lo, pivot=pivot, pivots=pivots,
                       swap_from=lo, **kw)
         elif variant == "rl":
             if carry:
-                _apply_pending(work, base, climit, workers=f.l2_workers, fused_l2=f.fused_l2)
+                _apply_pending(work, base, climit, fused_l2=f.fused_l2)
             _panel_rl(work, tau, base, nelim, climit, **kw)
         elif variant == "twostep":
             if carry:
-                _apply_pending(work, base, climit, workers=f.l2_workers, fused_l2=f.fused_l2)
+                _apply_pending(work, base, climit, fused_l2=f.fused_l2)
             _panel_twostep(work, tau, base, nelim, climit, **kw)
         else:
             raise InvalidVariant(f"unknown panel variant {variant!r}")
@@ -125,13 +119,13 @@ def _apply_couplings(work, tau, c0, c1, region, f, rank2k=False):
         skew_tridiag_rankk(cview, -1, a, tt, 1, fused=f.fused_l3)
 
 
-def _straggler(work, tau, rt, f):
+def _straggler(work, tau, rt):
     """Trailing rank-2 of the panel's last transform (Variant 1 only)."""
     m = work.shape[0]
     if m - rt < 2:
         return
     skew_rank2(work[rt + 1:, rt + 1:], 1, work[rt + 1:, rt - 1],
-               work[rt + 1:, rt], 1, workers=f.l2_workers)
+               work[rt + 1:, rt], 1)
 
 
 def _split_trailing(work, tau, r, rt, f):
@@ -149,7 +143,7 @@ def _split_trailing(work, tau, r, rt, f):
         tau32 = tau[rt - 1]
         skew_tridiag_gemv(x43, -1, work[:, r:rt - 1],
                           SkewTridiagonal(tau[r + 1:rt - 1]), l32, 1,
-                          workers=f.l2_workers, fused=f.fused_l2, tail_from=rt + 1)
+                          fused=f.fused_l2, tail_from=rt + 1)
         if l32.size and x43.size:
             x43 -= (tau32 * l32[-1]) * l43
             x43 += tau32 * l42[:, -1]
@@ -179,7 +173,7 @@ def ltlt_blk_var1(x: SkewMatrixLower, b=DEFAULT_BLOCK, panel_variant="ll",
                 _apply_couplings(work, tau, r + 1, rt, rt, f)
             else:
                 _split_trailing(work, tau, r, rt, f)
-            _straggler(work, tau, rt, f)
+            _straggler(work, tau, rt)
             r = rt
     return _finalize(work, tau, None, m, fc, external_t=f.external_t)
 
@@ -290,14 +284,13 @@ def ltlt_blk_twostep(x: SkewMatrixLower, b=DEFAULT_BLOCK, panel_variant="ll",
     return _finalize(work, tau, None, m, fc)
 
 
-def _block_pivots(work, pivots, base, nelim, lo, f):
+def _block_pivots(work, pivots, base, nelim, lo):
     """Row-swap the L columns left of the panel's immediate-swap region."""
     if lo <= 0 or nelim == 0:
         return
     sub = pivots[base + 1: base + nelim + 1]
     if np.any(sub):
-        apply_row_pivots(work[base + 1:, :lo], sub, forward=True,
-                         workers=f.l2_workers)
+        apply_row_pivots(work[base + 1:, :lo], sub, forward=True)
 
 
 def ltlt_blk_piv(x: SkewMatrixLower, b=DEFAULT_BLOCK, fused="var1",
@@ -330,9 +323,8 @@ def ltlt_blk_piv(x: SkewMatrixLower, b=DEFAULT_BLOCK, fused="var1",
                 lo = 0 if first else done - 1
                 with instrument.scope("panel"):
                     _panel_ll(work, tau, done, nelim, lo, pivot=True,
-                              pivots=pivots, swap_from=lo,
-                              workers=f.l2_workers, fused_l2=f.fused_l2)
-                _block_pivots(work, pivots, done, nelim, lo, f)
+                              pivots=pivots, swap_from=lo, fused_l2=f.fused_l2)
+                _block_pivots(work, pivots, done, nelim, lo)
                 new = done + nelim
                 _apply_couplings(work, tau, 1 if first else done, new, new, f)
                 done = new
@@ -346,16 +338,16 @@ def ltlt_blk_piv(x: SkewMatrixLower, b=DEFAULT_BLOCK, fused="var1",
                 lo = r - 1 if carry else r
                 with instrument.scope("panel"):
                     _panel_ll(work, tau, r, be, lo, pivot=True, pivots=pivots,
-                              swap_from=lo, workers=f.l2_workers,
-                              fused_l2=f.fused_l2, external_t=f.external_t)
-                _block_pivots(work, pivots, r, be, lo, f)
+                              swap_from=lo, fused_l2=f.fused_l2,
+                              external_t=f.external_t)
+                _block_pivots(work, pivots, r, be, lo)
                 rt = r + be
                 if fused == "var1":
                     if f.external_t:
                         _apply_couplings(work, tau, r + 1, rt, rt, f)
                     else:
                         _split_trailing(work, tau, r, rt, f)
-                    _straggler(work, tau, rt, f)
+                    _straggler(work, tau, rt)
                 else:
                     _apply_couplings(work, tau, r if pending else r + 1, rt, rt, f)
                 pending = True

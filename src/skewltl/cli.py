@@ -14,12 +14,13 @@ import statistics
 import sys
 import tempfile
 import time
+from dataclasses import replace
 
 import numpy as np
 
-from . import kernels2, kernels3
+from . import kernels3
 from .apps import pfaffian, solve
-from .blocked import (DEFAULT_BLOCK, LADDER, LADDER_VARIANT, Features,
+from .blocked import (DEFAULT_BLOCK, LADDER, LADDER_VARIANT,
                       ltlt_blk_left, ltlt_blk_piv, ltlt_blk_twostep,
                       ltlt_blk_var1, ltlt_blk_var2a, ltlt_blk_var2b)
 from .core import (InvalidVariant, PivotUnsupported, SkewMatrixLower,
@@ -94,7 +95,6 @@ def _write_factor_files(prefix, result):
 
 
 def cmd_factor(args):
-    kernels2.set_workers(args.threads)
     if args.preset:
         if args.preset != "worked-example":
             print(f"unknown preset {args.preset!r}", file=sys.stderr)
@@ -108,10 +108,8 @@ def cmd_factor(args):
             return 1
     else:
         x = random_skew(args.size, seed=args.seed)
-    feats = Features(parallel_l2=args.threads > 1)
     try:
-        result = run_variant(args.variant, x, block=args.block, pivot=args.pivot,
-                             features=feats)
+        result = run_variant(args.variant, x, block=args.block, pivot=args.pivot)
     except ZeroPivot as exc:
         print(f"error: breakdown, zero pivot in column {exc.column}; rerun with --pivot",
               file=sys.stderr)
@@ -133,7 +131,7 @@ def cmd_factor(args):
     return 0
 
 
-def _bench_one(variant, m, block, pivot, threads, seed, reps, features=None):
+def _bench_one(variant, m, block, pivot, seed, reps, features=None):
     x = random_skew(m, seed=seed)
     times = []
     result = None
@@ -149,10 +147,6 @@ def _bench_one(variant, m, block, pivot, threads, seed, reps, features=None):
 
 
 def cmd_bench(args):
-    kernels2.set_workers(args.threads)
-    if args.cache_mc or args.cache_kc or args.cache_nc:
-        kernels3.set_block_config(**{k: v for k, v in (
-            ("m_c", args.cache_mc), ("k_c", args.cache_kc), ("n_c", args.cache_nc)) if v})
     sizes = [int(s) for s in (args.sizes.split(",") if args.sizes else [args.size])]
     blocks = [int(s) for s in (args.blocks.split(",") if args.blocks else [args.block])]
     variants = args.variant.split(",")
@@ -172,24 +166,17 @@ def cmd_bench(args):
                 for step, feats in LADDER.items():
                     variant = LADDER_VARIANT[step]
                     if args.pivot and not feats.external_t:
-                        feats = Features(fused_l2=feats.fused_l2,
-                                         parallel_l2=feats.parallel_l2,
-                                         external_t=True, fused_l3=feats.fused_l3)
-                    feats = Features(feats.fused_l2, feats.parallel_l2 and args.threads > 1,
-                                     feats.external_t, feats.fused_l3)
+                        feats = replace(feats, external_t=True)
                     for b in blocks:
                         sec, gf, l2, l3 = _bench_one(variant, m, b, args.pivot,
-                                                     args.threads, args.seed,
-                                                     args.reps, feats)
+                                                     args.seed, args.reps, feats)
                         out.write(f"{variant}+{step},{m},{b},{args.threads},"
                                   f"{int(args.pivot)},{sec:.6f},{gf:.3f},{l2},{l3}\n")
             else:
-                feats = Features(parallel_l2=args.threads > 1)
                 for variant in variants:
                     for b in blocks:
                         sec, gf, l2, l3 = _bench_one(variant, m, b, args.pivot,
-                                                     args.threads, args.seed,
-                                                     args.reps, feats)
+                                                     args.seed, args.reps)
                         out.write(f"{variant},{m},{b},{args.threads},"
                                   f"{int(args.pivot)},{sec:.6f},{gf:.3f},{l2},{l3}\n")
     finally:
@@ -358,7 +345,6 @@ def _verify_checks(max_size, seed, exact):
 
 
 def cmd_verify(args):
-    kernels2.set_workers(args.threads)
     failures = 0
     for name, fn in _verify_checks(args.max_size, args.seed, args.exact):
         try:
@@ -381,7 +367,9 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     eachthreads = dict(type=int, default=int(os.environ.get("OMP_NUM_THREADS", "1") or 1),
-                       help="worker-count ceiling (default: OMP_NUM_THREADS or 1)")
+                       help="value recorded in the bench CSV 'threads' column (default: "
+                            "OMP_NUM_THREADS or 1); the BLAS thread count comes from "
+                            "OPENBLAS_NUM_THREADS/OMP_NUM_THREADS at process start")
 
     fp = sub.add_parser("factor", help="factor one matrix and report the residual")
     fp.add_argument("--size", type=int, default=100)
@@ -416,9 +404,6 @@ def build_parser():
     bp.add_argument("--out", metavar="PATH", help="CSV file (default stdout)")
     bp.add_argument("--opt-ladder", action="store_true",
                     help="rerun each configuration across the optimization ladder")
-    bp.add_argument("--cache-mc", type=int, help="level-3 m_c blocking constant")
-    bp.add_argument("--cache-kc", type=int, help="level-3 k_c blocking constant")
-    bp.add_argument("--cache-nc", type=int, help="level-3 n_c blocking constant")
     bp.set_defaults(func=cmd_bench)
     return ap
 

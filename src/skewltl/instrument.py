@@ -1,7 +1,7 @@
 """Flop accounting and kernel-call tracing.
 
-Factorization drivers are single-threaded orchestration (all parallelism
-lives inside kernels), so a module-level active counter/trace is enough;
+Factorization drivers and kernels are single-threaded Python (any
+parallelism is the BLAS's own), so a module-level active counter/trace is enough;
 kernels look them up on entry.  Nesting is supported by save/restore.
 """
 

@@ -1,18 +1,13 @@
-"""Fused level-2 kernels and blocked pivot-row application.
+"""Fused level-2 kernels and pivot-row application.
 
 Kernels update numpy views in place, touch each stored output entry exactly
-once per call, and are dtype-agnostic (exact scalars flow through).  Output
-rows/columns can be partitioned across a small thread pool; partitions are
-computed deterministically from the worker count, and output regions are
-disjoint, so results do not depend on scheduling.  Callers must not alias a
-kernel's output with any of its inputs.
+once per call, and are dtype-agnostic (exact scalars flow through).  The
+Python layer is single-threaded: each kernel issues plain numpy calls, and
+any parallelism is the BLAS's own.  Callers must not alias a kernel's
+output with any of its inputs.
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,74 +18,14 @@ from .core import SkewTridiagonal
 # fused updates for this many columns at once.
 JAM = 64
 
-# Row chunk for pivot application; bounds the gather working set.
-PIVOT_ROW_BLOCK = 512
-
-_workers = max(1, int(os.environ.get("OMP_NUM_THREADS", "1") or 1))
-_pool = None
-_pool_size = 0
-
-
-def set_workers(n):
-    """Global worker-count ceiling for all parallel kernels."""
-    global _workers
-    _workers = max(1, int(n))
-
 
 def get_workers():
-    return _workers
+    """Always 1: the Python layer is single-threaded.  BLAS threads come from
+    OPENBLAS_NUM_THREADS / OMP_NUM_THREADS at process start."""
+    return 1
 
 
-def _executor(w):
-    global _pool, _pool_size
-    if _pool is None or _pool_size < w:
-        if _pool is not None:
-            _pool.shutdown(wait=True)
-        _pool = ThreadPoolExecutor(max_workers=w)
-        _pool_size = w
-    return _pool
-
-
-def _partition(n, w):
-    """Contiguous near-equal ranges; deterministic in (n, w)."""
-    bounds = [n * i // w for i in range(w + 1)]
-    return [(bounds[i], bounds[i + 1]) for i in range(w) if bounds[i] < bounds[i + 1]]
-
-
-def _triangular_partition(n, w):
-    """Column ranges with near-equal strictly-lower area under column j -> n-1-j."""
-    total = n * (n - 1) // 2
-    ranges = []
-    lo = 0
-    for i in range(1, w + 1):
-        # smallest hi with area(0..hi) >= total * i / w
-        target = total * i // w
-        hi = lo
-        while hi < n and (n * hi - hi * (hi + 1) // 2) < target:
-            hi += 1
-        if i == w:
-            hi = n
-        if hi > lo:
-            ranges.append((lo, hi))
-        lo = hi
-    return ranges
-
-
-def _run(work, ranges, workers):
-    w = 1 if workers is None else workers
-    if w <= 1 or len(ranges) <= 1:
-        for lo, hi in ranges:
-            work(lo, hi)
-        return
-    ex = _executor(w)
-    list(ex.map(lambda r: work(*r), ranges))
-
-
-def _resolve(workers):
-    return _workers if workers is None else max(1, workers)
-
-
-def skew_rank2(a, alpha, x, y, beta=1, workers=None):
+def skew_rank2(a, alpha, x, y, beta=1):
     """A := beta*A + alpha*(x y^T - y x^T), strictly-lower triangle only.
 
     ``a`` is an n x n lower-storage view; every stored entry is read and
@@ -105,33 +40,26 @@ def skew_rank2(a, alpha, x, y, beta=1, workers=None):
         return
     if alpha == 0 and beta == 1:
         return
-
-    def work(clo, chi):
-        for j0 in range(clo, chi, JAM):
-            j1 = min(j0 + JAM, chi)
-            jet = min(j1, n)
-            for j in range(j0, jet):
-                seg = a[j + 1:jet, j]
-                if seg.size:
-                    upd = alpha * (x[j + 1:jet] * y[j] - y[j + 1:jet] * x[j])
-                    if beta == 1:
-                        seg += upd
-                    else:
-                        a[j + 1:jet, j] = beta * seg + upd
-            if j1 < n:
-                blk = a[j1:, j0:j1]
-                upd = alpha * (np.outer(x[j1:], y[j0:j1]) - np.outer(y[j1:], x[j0:j1]))
+    for j0 in range(0, n, JAM):
+        j1 = min(j0 + JAM, n)
+        for j in range(j0, j1):
+            seg = a[j + 1:j1, j]
+            if seg.size:
+                upd = alpha * (x[j + 1:j1] * y[j] - y[j + 1:j1] * x[j])
                 if beta == 1:
-                    blk += upd
+                    seg += upd
                 else:
-                    blk[:] = beta * blk + upd
+                    a[j + 1:j1, j] = beta * seg + upd
+        if j1 < n:
+            blk = a[j1:, j0:j1]
+            upd = alpha * (np.outer(x[j1:], y[j0:j1]) - np.outer(y[j1:], x[j0:j1]))
+            if beta == 1:
+                blk += upd
+            else:
+                blk[:] = beta * blk + upd
 
-    w = _resolve(workers)
-    ranges = _triangular_partition(n, w) if w > 1 else [(0, n)]
-    _run(work, ranges, w)
 
-
-def gen_rank2(a, alpha, x, u, y, v, beta=1, workers=None, fused=True):
+def gen_rank2(a, alpha, x, u, y, v, beta=1, fused=True):
     """A := beta*A + alpha*(x u^T + y v^T) on a p x q rectangle.
 
     ``fused=False`` falls back to two sequential rank-1 passes over A (the
@@ -144,23 +72,17 @@ def gen_rank2(a, alpha, x, u, y, v, beta=1, workers=None, fused=True):
     instrument.add_flops("level2", 4 * p * q)
     if p == 0 or q == 0 or (alpha == 0 and beta == 1):
         return
-
-    def work(rlo, rhi):
-        blk = a[rlo:rhi]
-        if fused:
-            upd = alpha * (np.outer(x[rlo:rhi], u) + np.outer(y[rlo:rhi], v))
-            if beta == 1:
-                blk += upd
-            else:
-                blk[:] = beta * blk + upd
+    if fused:
+        upd = alpha * (np.outer(x, u) + np.outer(y, v))
+        if beta == 1:
+            a += upd
         else:
-            if beta != 1:
-                blk *= beta
-            blk += alpha * np.outer(x[rlo:rhi], u)
-            blk += alpha * np.outer(y[rlo:rhi], v)
-
-    w = _resolve(workers)
-    _run(work, _partition(p, w), w)
+            a[:] = beta * a + upd
+    else:
+        if beta != 1:
+            a *= beta
+        a += alpha * np.outer(x, u)
+        a += alpha * np.outer(y, v)
 
 
 def tridiag_matvec(tau, x):
@@ -175,8 +97,8 @@ def tridiag_matvec(tau, x):
     return z
 
 
-def skew_tridiag_gemv(y, alpha, a, t: SkewTridiagonal, x, beta=1, workers=None,
-                      fused=True, tail_from=0):
+def skew_tridiag_gemv(y, alpha, a, t: SkewTridiagonal, x, beta=1, fused=True,
+                      tail_from=0):
     """y := beta*y + alpha * (A (T x))[tail_from:].
 
     The tridiagonal multiply is a cheap O(k) pass over x; with
@@ -205,36 +127,24 @@ def skew_tridiag_gemv(y, alpha, a, t: SkewTridiagonal, x, beta=1, workers=None,
         instrument.add_flops("level2", 2 * k * k)
     if rows == 0:
         return
-    w = _resolve(workers)
-    if fused and w == 1 and tail_from > 0 and a.flags.f_contiguous:
+    if fused and tail_from > 0 and a.flags.f_contiguous:
         # fused fast path: evaluating the product at full column height
         # keeps A contiguous for the matmul backend (head rows discarded);
-        # the unfused baseline below sticks to plain calls on the operands
-        # as given
-        acc = a.dot(z)
-        if beta == 1:
-            y += alpha * acc[tail_from:]
-        else:
-            y[:] = beta * y + alpha * acc[tail_from:]
-        return
-    atail = a[tail_from:]
-
-    def work(rlo, rhi):
-        acc = atail[rlo:rhi].dot(z)
-        if beta == 1:
-            y[rlo:rhi] += alpha * acc
-        else:
-            y[rlo:rhi] = beta * y[rlo:rhi] + alpha * acc
-
-    _run(work, _partition(rows, w), w)
+        # the unfused baseline sticks to plain calls on the operands as given
+        acc = a.dot(z)[tail_from:]
+    else:
+        acc = a[tail_from:].dot(z)
+    if beta == 1:
+        y += alpha * acc
+    else:
+        y[:] = beta * y + alpha * acc
 
 
-def apply_row_pivots(block, p, forward=True, workers=None):
-    """Permute the rows of ``block`` by P(p) (or its inverse).
+def apply_row_pivots(block, p, forward=True):
+    """Permute the rows of ``block`` (1-D or 2-D) by P(p) (or its inverse).
 
-    The swap sequence is collapsed into a single gather so each element
-    moves once; the gather walks the rows in fixed-size chunks for temporal
-    locality, and workers split the column dimension.
+    The swap sequence is collapsed into a single gather of the rows that
+    change place, so each moved element is copied once.
     """
     n, q = block.shape if block.ndim == 2 else (block.shape[0], 1)
     pivots = p.pivots if hasattr(p, "pivots") else np.asarray(p)
@@ -249,53 +159,18 @@ def apply_row_pivots(block, p, forward=True, workers=None):
         inv = np.empty_like(idx)
         inv[idx] = np.arange(n)
         idx = inv
-    moved = int(np.count_nonzero(idx != np.arange(n)))
+    rows = np.flatnonzero(idx != np.arange(n))
     instrument.record_call("apply_row_pivots")
-    instrument.add_flops("pivot", moved * q)
-    if moved == 0 or q == 0:
-        return
-    touched = np.flatnonzero(idx != np.arange(n))
-    lo, hi = int(touched[0]), int(touched[-1]) + 1
-    sub = idx[lo:hi]
-
-    if block.ndim == 1:
-        block[lo:hi] = block[sub]
-        return
-
-    def work(clo, chi):
-        for c0 in range(clo, chi, PIVOT_ROW_BLOCK):
-            c1 = min(c0 + PIVOT_ROW_BLOCK, chi)
-            block[lo:hi, c0:c1] = block[sub, c0:c1]
-
-    w = _resolve(workers)
-    _run(work, _partition(q, w), w)
+    instrument.add_flops("pivot", rows.size * q)
+    if rows.size and q:
+        block[rows] = block[idx[rows]]
 
 
-@dataclass
-class PanelView:
-    """Trapezoidal update region of a lower-stored skew matrix.
-
-    The trapezoid spans rows/cols [start, n) limited to columns < climit:
-    a square skew part on [start, climit) plus the general rectangle below
-    it.  Writes never touch positions at or above the diagonal.
-    """
-
-    buf: np.ndarray
-    start: int
-    climit: int
-
-    @property
-    def square(self):
-        return self.buf[self.start:self.climit, self.start:self.climit]
-
-    @property
-    def rect(self):
-        return self.buf[self.climit:, self.start:self.climit]
-
-
-def trapezoid_rank2(buf, start, climit, alpha, x, y, workers=None, fused=True):
+def trapezoid_rank2(buf, start, climit, alpha, x, y, fused=True):
     """Apply alpha*(x y^T - y x^T) to rows/cols [start, n) of ``buf``,
-    restricted to columns < climit.
+    restricted to columns < climit: a square skew part on [start, climit)
+    plus the general rectangle below it.  Writes never touch positions at
+    or above the diagonal.
 
     Realized as a square skew_rank2 plus a rectangular gen_rank2 rather
     than a bespoke trapezoid kernel.  x and y are indexed from ``start``.
@@ -305,8 +180,7 @@ def trapezoid_rank2(buf, start, climit, alpha, x, y, workers=None, fused=True):
     nsq = climit - start
     if nsq <= 0:
         return
-    view = PanelView(buf, start, climit)
-    skew_rank2(view.square, alpha, x[:nsq], y[:nsq], 1, workers=workers)
+    skew_rank2(buf[start:climit, start:climit], alpha, x[:nsq], y[:nsq], 1)
     if climit < n:
-        gen_rank2(view.rect, alpha, x[nsq:], y[:nsq], -y[nsq:], x[:nsq], 1,
-                  workers=workers, fused=fused)
+        gen_rank2(buf[climit:, start:climit], alpha, x[nsq:], y[:nsq], -y[nsq:], x[:nsq], 1,
+                  fused=fused)

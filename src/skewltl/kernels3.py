@@ -1,83 +1,32 @@
-"""Cache-blocked "sandwiched" level-3 kernels.
+"""Level-3 "sandwiched" kernels as one block-column sweep.
 
-Goto-style three-loop blocking: C is processed in n_c-wide column panels;
-for each panel the k-side operand (T A^T, T B, or the packed rank-2k
-factors) is built panel by panel -- the tridiagonal multiply rides along
-with that packing step, so no workspace proportional to the full k x m
-product is ever formed -- and m_c-tall row tiles of C are then updated
-with plain matmuls.  Tiles crossing the diagonal merge through a mask, so
-entries at or above the diagonal are never written (and garbage stored
-there never propagates).
-
-For a fixed k_c the per-entry summation order is fixed, so results are
-bitwise independent of m_c and n_c.
+C is processed one ``NB``-wide block column at a time.  For each block
+column the k-side operand (T A^T, T B, or the stacked rank-2k factors) is
+packed, so the tridiagonal multiply rides along with that packing step and
+no workspace proportional to the full k x m product is ever formed.  The
+diagonal block merges through a mask, so entries at or above the diagonal
+are never written (and garbage stored there never propagates); the rows
+below are updated in ``NB``-row chunks with plain matmuls.  Cache blocking
+inside each product is the BLAS's own (Goto and van de Geijn, TOMS 2008),
+as is any threading.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import instrument
 from .core import SkewTridiagonal
-from .kernels2 import _partition, _resolve, _run
 
-
-@dataclass
-class BlockConfig:
-    """Cache blocking constants, in elements.
-
-    Defaults target a 32 KiB L1 / 512 KiB L2 core profile; k_c matches the
-    rank-k sweet spot of the level-3 path.  m_r/n_r describe the micro-tile
-    the matmul backend register-tiles over; they are advisory here.
-    """
-
-    m_c: int = 128
-    k_c: int = 256
-    n_c: int = 256
-    m_r: int = 8
-    n_r: int = 4
-
-
-_config = BlockConfig()
-
-# Peak packing workspace (elements) of the most recent level-3 call; test aid.
-last_workspace = 0
-
-
-def set_block_config(**kw):
-    global _config
-    _config = replace(_config, **kw)
-    return _config
-
-
-def get_block_config() -> BlockConfig:
-    return _config
-
-
-def _note_workspace(elements):
-    global last_workspace
-    last_workspace = max(last_workspace, elements)
+# Block-column width and row-chunk height of the sweep.  Row chunks keep the
+# product temporaries short: a full-height one at a 32 KiB column stride is
+# about 35% slower.
+NB = 256
 
 
 def _check_alias(c, a, name):
     if a is not None and np.shares_memory(c, a):
         raise ValueError(f"output aliases operand {name}")
-
-
-def _k_panels(k, k_c):
-    """k-dimension panel boundaries; a short tail merges into the previous
-    panel so k slightly above k_c (e.g. the fused variants' b+1) stays one
-    pass.  Summation order depends only on k_c."""
-    panels = []
-    pc = 0
-    while pc < k:
-        rem = k - pc
-        step = rem if rem <= k_c + k_c // 4 else k_c
-        panels.append((pc, pc + step))
-        pc += step
-    return panels
 
 
 def _lower_entries(n):
@@ -98,14 +47,13 @@ def _tril_mask(shape, k):
     return mask
 
 
-def _merge_lower_tile(tile, contrib, alpha, beta, ic, jc):
-    """tile := beta*tile + alpha*contrib on entries with global i > j.
-
-    ic/jc are the tile's row/col offsets inside a row-col aligned view.
-    Entries at or above the diagonal are masked out of the write, so
-    whatever is stored there is neither used nor touched.
+def _merge_lower_tile(tile, contrib, alpha, beta):
+    """tile := beta*tile + alpha*contrib on the entries strictly below the
+    diagonal of a tile whose top-left entry lies on it.  Entries at or above
+    the diagonal are masked out of the write, so whatever is stored there is
+    neither used nor touched.
     """
-    mask = _tril_mask(tile.shape, ic - jc - 1)
+    mask = _tril_mask(tile.shape, -1)
     if beta == 1 and tile.dtype != object:
         if alpha == 1:
             np.add(tile, contrib, out=tile, where=mask)
@@ -116,97 +64,6 @@ def _merge_lower_tile(tile, contrib, alpha, beta, ic, jc):
     else:
         merged = beta * tile + alpha * contrib
         np.copyto(tile, merged, where=mask)
-
-
-def _scale_lower(c, beta, workers=None):
-    if beta == 1:
-        return
-    n = c.shape[0]
-
-    def work(lo, hi):
-        for j in range(lo, hi):
-            c[j + 1:, j] *= beta
-
-    w = _resolve(workers)
-    _run(work, _partition(n, w), w)
-
-
-def _pack_bt_panel(tau, a, jc, j1, pc, p1):
-    """Rows [pc, p1) of B = T A^T for C-columns [jc, j1), built from A.
-
-    Each produced element reads two tau-adjacent entries of A; temporal
-    locality is high because A is walked column-block by column-block.
-    """
-    k = a.shape[1]
-    bp = np.zeros((p1 - pc, j1 - jc), dtype=a.dtype)
-    lo1 = max(pc, 1)
-    if lo1 < p1:
-        bp[lo1 - pc:, :] = tau[lo1 - 1:p1 - 1, None] * a[jc:j1, lo1 - 1:p1 - 1].T
-    hi2 = min(p1, k - 1)
-    if hi2 > pc:
-        bp[:hi2 - pc, :] -= tau[pc:hi2, None] * a[jc:j1, pc + 1:hi2 + 1].T
-    return bp
-
-
-def skew_tridiag_rankk(c, alpha, a, t: SkewTridiagonal, beta=1, *, fused=True, workers=None):
-    """C := beta*C + alpha * A T A^T on the strictly-lower triangle of C.
-
-    A is n x k and T the k-dimensional skew tridiagonal.  The row panel of
-    B = T A^T is produced inside the packing step; with ``fused=False`` the
-    whole of B is materialized and a full square matmul is performed, with
-    the upper half discarded at write-back (the unfused baseline).
-    """
-    n, k = a.shape
-    if c.shape[0] != n or c.shape[1] != n or t.m != k:
-        raise ValueError("dimension mismatch")
-    _check_alias(c, a, "a")
-    instrument.record_call("skew_tridiag_rankk")
-    instrument.add_flops("level3", 2 * k * _lower_entries(n) + 4 * k * n)
-    if n <= 1:
-        return
-    if alpha == 0 or k == 0:
-        _scale_lower(c, beta, workers)
-        return
-    tau = t.tau
-    if not fused:
-        instrument.add_flops("level3", 2 * k * _lower_entries(n))  # upper half computed and discarded
-        b_full = np.zeros((k, n), dtype=a.dtype)
-        if k > 1:
-            b_full[1:, :] = tau[:, None] * a[:, :-1].T
-            b_full[:-1, :] -= tau[:, None] * a[:, 1:].T
-        _note_workspace(b_full.size)
-        full = a.dot(b_full)
-        for j in range(n - 1):
-            col = c[j + 1:, j]
-            if beta == 1:
-                col += alpha * full[j + 1:, j]
-            else:
-                c[j + 1:, j] = beta * col + alpha * full[j + 1:, j]
-        return
-
-    cfg = _config
-    for jc in range(0, n, cfg.n_c):
-        j1 = min(jc + cfg.n_c, n)
-        tiles = [(ic, min(ic + cfg.m_c, n)) for ic in range(jc, n, cfg.m_c)]
-
-        for pc, p1 in _k_panels(k, cfg.k_c):
-            bp = _pack_bt_panel(tau, a, jc, j1, pc, p1)
-            _note_workspace(bp.size + cfg.m_c * cfg.n_c)
-            ak = a[:, pc:p1]
-            first = pc == 0
-
-            def work(tlo, thi, bp=bp, ak=ak, first=first):
-                for ic, i1 in tiles[tlo:thi]:
-                    tile = c[ic:i1, jc:j1]
-                    contrib = ak[ic:i1].dot(bp)
-                    bta = beta if first else 1
-                    if ic >= j1:
-                        _accum_tile(tile, contrib, alpha, bta)
-                    else:
-                        _merge_lower_tile(tile, contrib, alpha, bta, ic - jc, 0)
-
-            w = _resolve(workers)
-            _run(work, _partition(len(tiles), w), w)
 
 
 def _accum_tile(tile, contrib, alpha, beta):
@@ -223,21 +80,82 @@ def _accum_tile(tile, contrib, alpha, beta):
         tile[:] = beta * tile + alpha * contrib
 
 
-def _pack_tb_panel(tau, b, jc, j1, pc, p1):
-    """Rows [pc, p1) of T B for B-columns [jc, j1)."""
-    k = b.shape[0]
-    bp = np.zeros((p1 - pc, j1 - jc), dtype=b.dtype)
-    lo1 = max(pc, 1)
-    if lo1 < p1:
-        bp[lo1 - pc:, :] = tau[lo1 - 1:p1 - 1, None] * b[lo1 - 1:p1 - 1, jc:j1]
-    hi2 = min(p1, k - 1)
-    if hi2 > pc:
-        bp[:hi2 - pc, :] -= tau[pc:hi2, None] * b[pc + 1:hi2 + 1, jc:j1]
-    return bp
+def _scale(c, beta, tril=True):
+    if beta == 1:
+        return
+    if not tril:
+        c *= beta
+        return
+    for j in range(c.shape[1]):
+        c[j + 1:, j] *= beta
+
+
+def _pack_t(tau, x):
+    """T X for the skew tridiagonal T with subdiagonal tau (X has k rows)."""
+    k = x.shape[0]
+    out = np.zeros(x.shape, dtype=x.dtype)
+    if k > 1:
+        out[1:] = tau[:, None] * x[:-1]
+        out[:-1] -= tau[:, None] * x[1:]
+    return out
+
+
+def _sweep(c, left, pack, alpha, beta, tril=True):
+    """C := beta*C + alpha * left @ pack(jc, j1), one block column at a time.
+
+    ``pack(jc, j1)`` returns the k x (j1 - jc) operand of block column
+    [jc, j1).  With ``tril`` only entries with row > col are written.
+    """
+    p, q = c.shape
+    for jc in range(0, q, NB):
+        j1 = min(jc + NB, q)
+        top = jc if tril else 0
+        if top >= p:
+            break
+        panel = pack(jc, j1)
+        if tril:
+            top = min(j1, p)
+            _merge_lower_tile(c[jc:top, jc:j1], left[jc:top].dot(panel), alpha, beta)
+        for ic in range(top, p, NB):
+            i1 = min(ic + NB, p)
+            _accum_tile(c[ic:i1, jc:j1], left[ic:i1].dot(panel), alpha, beta)
+
+
+def skew_tridiag_rankk(c, alpha, a, t: SkewTridiagonal, beta=1, *, fused=True):
+    """C := beta*C + alpha * A T A^T on the strictly-lower triangle of C.
+
+    A is n x k and T the k-dimensional skew tridiagonal.  Each block column
+    of B = T A^T is produced inside the packing step; with ``fused=False``
+    the whole of B is materialized and a full square matmul is performed,
+    with the upper half discarded at write-back (the unfused baseline).
+    """
+    n, k = a.shape
+    if c.shape[0] != n or c.shape[1] != n or t.m != k:
+        raise ValueError("dimension mismatch")
+    _check_alias(c, a, "a")
+    instrument.record_call("skew_tridiag_rankk")
+    instrument.add_flops("level3", 2 * k * _lower_entries(n) + 4 * k * n)
+    if n <= 1:
+        return
+    if alpha == 0 or k == 0:
+        _scale(c, beta)
+        return
+    tau = t.tau
+    if not fused:
+        instrument.add_flops("level3", 2 * k * _lower_entries(n))  # upper half computed and discarded
+        full = a.dot(_pack_t(tau, a.T))
+        for j in range(n - 1):
+            col = c[j + 1:, j]
+            if beta == 1:
+                col += alpha * full[j + 1:, j]
+            else:
+                c[j + 1:, j] = beta * col + alpha * full[j + 1:, j]
+        return
+    _sweep(c, a, lambda jc, j1: _pack_t(tau, a[jc:j1].T), alpha, beta)
 
 
 def skew_tridiag_gemm(c, alpha, a, t: SkewTridiagonal, b, beta=1, *, tril=False,
-                      fused=True, workers=None):
+                      fused=True):
     """C := beta*C + alpha * A (T B) on a general p x q block.
 
     With ``tril=True`` only entries of C with row > col (in view
@@ -258,56 +176,30 @@ def skew_tridiag_gemm(c, alpha, a, t: SkewTridiagonal, b, beta=1, *, tril=False,
     if p == 0 or q == 0:
         return
     if alpha == 0 or k == 0:
-        if beta != 1:
-            if tril:
-                for j in range(q):
-                    c[j + 1:, j] *= beta
-            else:
-                c *= beta
+        _scale(c, beta, tril)
         return
-    tau = t.tau
-    cfg = _config
-    tb_full = None
-    if not fused:
+    if fused:
+        tau = t.tau
+
+        def pack(jc, j1):
+            return _pack_t(tau, b[:, jc:j1])
+    else:
         tb_full = t.dense().dot(np.asarray(b))
         instrument.add_flops("level3", 2 * k * k * q)
-        _note_workspace(tb_full.size)
 
-    for jc in range(0, q, cfg.n_c):
-        j1 = min(jc + cfg.n_c, q)
-        row0 = jc if tril else 0
-        tiles = [(ic, min(ic + cfg.m_c, p)) for ic in range(row0, p, cfg.m_c)]
-        if not tiles:
-            continue
-        for pc, p1 in _k_panels(k, cfg.k_c):
-            if tb_full is None:
-                bp = _pack_tb_panel(tau, b, jc, j1, pc, p1)
-                _note_workspace(bp.size + cfg.m_c * cfg.n_c)
-            else:
-                bp = tb_full[pc:p1, jc:j1]
-            ak = a[:, pc:p1]
-            first = pc == 0
-
-            def work(tlo, thi, bp=bp, ak=ak, first=first):
-                for ic, i1 in tiles[tlo:thi]:
-                    tile = c[ic:i1, jc:j1]
-                    contrib = ak[ic:i1].dot(bp)
-                    bta = beta if first else 1
-                    if not tril or ic >= j1:
-                        _accum_tile(tile, contrib, alpha, bta)
-                    else:
-                        _merge_lower_tile(tile, contrib, alpha, bta, ic - jc, 0)
-
-            w = _resolve(workers)
-            _run(work, _partition(len(tiles), w), w)
+        def pack(jc, j1):
+            return tb_full[:, jc:j1]
+    _sweep(c, a, pack, alpha, beta, tril)
 
 
-def skew_rank2k(c, alpha, a, b, beta=1, *, workers=None, skip_zero_columns=True):
+def skew_rank2k(c, alpha, a, b, beta=1, *, skip_zero_columns=True):
     """C := beta*C + alpha*(A B^T - B A^T), strictly-lower triangle of C.
 
     Columns that are identically zero in either factor contribute nothing
     and are dropped during packing; with B = W = A S from the splitting
     theorem that halves the work, since every other column of W is zero.
+    The kept columns are stacked so each chunk is one product
+    [A B] [B -A]^T.
     """
     n, k = a.shape
     if b.shape != (n, k) or c.shape[0] != n or c.shape[1] != n:
@@ -324,31 +216,12 @@ def skew_rank2k(c, alpha, a, b, beta=1, *, workers=None, skip_zero_columns=True)
     if n <= 1:
         return
     if alpha == 0 or keff == 0:
-        _scale_lower(c, beta, workers)
+        _scale(c, beta)
         return
-    cfg = _config
-    for jc in range(0, n, cfg.n_c):
-        j1 = min(jc + cfg.n_c, n)
-        tiles = [(ic, min(ic + cfg.m_c, n)) for ic in range(jc, n, cfg.m_c)]
-        for pc, p1 in _k_panels(keff, cfg.k_c):
-            cols = keep[pc:p1]
-            at_panel = np.ascontiguousarray(a[jc:j1, cols].T)
-            bt_panel = np.ascontiguousarray(b[jc:j1, cols].T)
-            _note_workspace(at_panel.size + bt_panel.size + cfg.m_c * cfg.n_c)
-            first = pc == 0
-
-            def work(tlo, thi, cols=cols, at_panel=at_panel, bt_panel=bt_panel, first=first):
-                for ic, i1 in tiles[tlo:thi]:
-                    contrib = a[ic:i1][:, cols].dot(bt_panel) - b[ic:i1][:, cols].dot(at_panel)
-                    tile = c[ic:i1, jc:j1]
-                    bta = beta if first else 1
-                    if ic >= j1:
-                        _accum_tile(tile, contrib, alpha, bta)
-                    else:
-                        _merge_lower_tile(tile, contrib, alpha, bta, ic - jc, 0)
-
-            w = _resolve(workers)
-            _run(work, _partition(len(tiles), w), w)
+    ak, bk = a[:, keep], b[:, keep]
+    left = np.concatenate((ak, bk), axis=1)
+    _sweep(c, left, lambda jc, j1: np.concatenate((bk[jc:j1], -ak[jc:j1]), axis=1).T,
+           alpha, beta)
 
 
 def form_w(a, s):

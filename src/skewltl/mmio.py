@@ -2,10 +2,14 @@
 
 Coordinate format with the ``skew-symmetric`` qualifier, 1-based indices,
 strictly-lower entries only.  The reader validates the header and rejects
-nonzero diagonal entries and entries above the diagonal.
+nonzero diagonal entries, entries above the diagonal, duplicate
+coordinates, NaN or infinite values, and an entry count other than the
+declared nnz (explicit zero diagonal entries count toward it).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -50,6 +54,11 @@ def mm_read(path) -> SkewMatrixLower:
         if m != n:
             raise ValueError(f"{path}: matrix is {m}x{n}, expected square")
         x = SkewMatrixLower.zeros(m)
+        # flat column-major views of x.data and of one duplicate flag per
+        # coordinate; plain memoryview/bytearray item access keeps the
+        # per-line cost low
+        flat = memoryview(x.data.T).cast("B").cast("d")
+        present = bytearray(m * m)
         seen = 0
         for line in fh:
             if not line.strip() or line.startswith("%"):
@@ -58,14 +67,18 @@ def mm_read(path) -> SkewMatrixLower:
             i, j, v = int(si) - 1, int(sj) - 1, float(sv)
             if not (0 <= i < m and 0 <= j < m):
                 raise ValueError(f"{path}: entry ({si}, {sj}) out of range")
-            if i == j:
-                if v != 0.0:
-                    raise ValueError(f"{path}: nonzero diagonal entry at row {si}")
-                continue
             if i < j:
                 raise ValueError(f"{path}: entry ({si}, {sj}) above the diagonal")
-            x.data[i, j] = v
+            k = j * m + i
+            if present[k]:
+                raise ValueError(f"{path}: duplicate entry ({si}, {sj})")
+            if not math.isfinite(v):
+                raise ValueError(f"{path}: non-finite value {sv!r} at ({si}, {sj})")
+            if i == j and v != 0.0:
+                raise ValueError(f"{path}: nonzero diagonal entry at row {si}")
+            present[k] = 1
+            flat[k] = v
             seen += 1
-        if seen > nnz:
-            raise ValueError(f"{path}: more entries than declared nnz={nnz}")
+        if seen != nnz:
+            raise ValueError(f"{path}: {seen} entries, declared nnz={nnz}")
         return x

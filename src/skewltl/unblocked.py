@@ -23,6 +23,7 @@ from .core import (InvalidVariant, PermutationVector, SkewMatrixLower,
                    _sym_swap_lower)
 from .instrument import FlopCounter, counting
 from .kernels2 import skew_rank2, skew_tridiag_gemv, trapezoid_rank2
+from .kernels3 import NB, _tril_mask
 
 VARIANTS = ("rl", "ll", "twostep")
 
@@ -40,10 +41,30 @@ class FactorizationResult:
     flops: FlopCounter
 
 
+def _check_finite(work):
+    """Raise ValueError at the first NaN or infinity below the diagonal.
+
+    Scans NB columns at a time, so the temporary is m x NB, never m x m.
+    Entries at or above the diagonal are not read; exact (object dtype)
+    scalars are not checked.
+    """
+    if work.dtype == object:
+        return
+    m = work.shape[0]
+    for j0 in range(0, m, NB):
+        bad = ~np.isfinite(work[j0:, j0:j0 + NB])
+        top = bad[:NB]
+        top &= _tril_mask(top.shape, -1)
+        if bad.any():
+            j, i = np.argwhere(bad.T)[0]
+            raise ValueError(f"non-finite input entry at ({j0 + i}, {j0 + j})")
+
+
 def _workbuf(x: SkewMatrixLower):
     if x.m < 1:
         raise ValueError("m >= 1 required")
     work = np.array(x.data, order="F")
+    _check_finite(work)
     tau = np.zeros(max(x.m - 1, 0), dtype=work.dtype)
     return work, tau
 
@@ -92,7 +113,7 @@ def _eliminate(work, tau, g, external_t=True, pivot=False, pivots=None, swap_fro
 
 
 def _panel_ll(work, tau, base, nelim, lo, *, pivot=False, pivots=None,
-              swap_from=None, workers=None, fused_l2=True, external_t=True):
+              swap_from=None, fused_l2=True, external_t=True):
     """Left-looking eliminations of columns [base, base + nelim).
 
     ``lo`` is the leftmost buffer column participating in the column
@@ -115,12 +136,12 @@ def _panel_ll(work, tau, base, nelim, lo, *, pivot=False, pivots=None,
             # the rows above g+1
             skew_tridiag_gemv(work[g + 1:, g], -1, work[:, lo:g],
                               SkewTridiagonal(tau[lo + 1:g]), xrow, 1,
-                              workers=workers, fused=fused_l2, tail_from=g + 1)
+                              fused=fused_l2, tail_from=g + 1)
         _eliminate(work, tau, g, external_t, pivot, pivots, swap_from)
 
 
-def _panel_rl(work, tau, base, nelim, climit, *, workers=None, fused_l2=True,
-              external_t=True, pivot=False, pivots=None, swap_from=None):
+def _panel_rl(work, tau, base, nelim, climit, *, fused_l2=True, external_t=True,
+              pivot=False, pivots=None, swap_from=None):
     """Right-looking eliminations of [base, base + nelim) with the trailing
     rank-2 updates restricted to columns < climit (square skew part plus
     rectangular general part)."""
@@ -130,12 +151,11 @@ def _panel_rl(work, tau, base, nelim, climit, *, workers=None, fused_l2=True,
         _eliminate(work, tau, g, external_t, pivot, pivots, swap_from)
         s = g + 2
         trapezoid_rank2(work, s, climit, 1, work[s:, g], work[s:, g + 1],
-                        workers=workers, fused=fused_l2)
+                        fused=fused_l2)
 
 
-def _panel_twostep(work, tau, base, nelim, climit, *, workers=None,
-                   fused_l2=True, external_t=True, pivot=False, pivots=None,
-                   swap_from=None):
+def _panel_twostep(work, tau, base, nelim, climit, *, fused_l2=True,
+                   external_t=True, pivot=False, pivots=None, swap_from=None):
     """Two-step eliminations of [base, base + nelim): because the diagonal
     partner of the pivot is zero, the transform from column g leaves column
     g+1 untouched, so a pair of transforms comes straight from current data
@@ -151,7 +171,7 @@ def _panel_twostep(work, tau, base, nelim, climit, *, workers=None,
         if g + 1 >= end:
             _eliminate(work, tau, g, external_t, pivot, pivots, swap_from)
             trapezoid_rank2(work, g + 2, climit, 1, work[g + 2:, g],
-                            work[g + 2:, g + 1], workers=workers, fused=fused_l2)
+                            work[g + 2:, g + 1], fused=fused_l2)
             g += 1
             continue
         _eliminate(work, tau, g, external_t, pivot, pivots, swap_from)
@@ -166,17 +186,16 @@ def _panel_twostep(work, tau, base, nelim, climit, *, workers=None,
             # nonzero column of L S for this pair
             wv = work[s:, g + 2] - tau[g + 1] * lcol1
             instrument.add_flops("level2", 6 * max(m - s, 0))
-            trapezoid_rank2(work, s, climit, -1, wv, lcol2,
-                            workers=workers, fused=fused_l2)
+            trapezoid_rank2(work, s, climit, -1, wv, lcol2, fused=fused_l2)
         g += 2
 
 
-def _apply_pending(work, base, climit, workers=None, fused_l2=True):
+def _apply_pending(work, base, climit, fused_l2=True):
     """Apply the delayed coupling of the previous block, restricted to
     columns < climit: pairs L column ``base`` with current column data."""
     s = base + 1
     trapezoid_rank2(work, s, climit, 1, work[s:, base - 1], work[s:, base],
-                    workers=workers, fused=fused_l2)
+                    fused=fused_l2)
 
 
 def _apply_first_column(work, first_column):

@@ -242,8 +242,7 @@ def test_criterion_7_performance():
             times.append(time.perf_counter() - t0)
         return statistics.median(times)
 
-    naive_feats = Features(fused_l2=False, parallel_l2=False,
-                           external_t=False, fused_l3=False)
+    naive_feats = Features(fused_l2=False, external_t=False, fused_l3=False)
     t_opt = med(lambda: ltlt_blk_var2b(x, b=256))
     t_naive = med(lambda: ltlt_blk_var1(x, b=256, features=naive_feats))
     ratio = t_naive / t_opt

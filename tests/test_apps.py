@@ -27,6 +27,11 @@ class TestPfaffian:
         pf = pfaffian(x)
         assert pf == Fraction(21)
 
+    def test_overflow_raises(self):
+        # 0.5 log|det X| is about 807.6, past log(float64 max) = 709.8
+        with pytest.raises(OverflowError, match=r"log\|Pf\| = 807\.6"):
+            pfaffian(random_skew(600, seed=3))
+
     def test_odd_dimension_zero(self):
         assert pfaffian(random_skew(3, seed=1)) == 0.0
         assert pfaffian(random_skew(7, seed=2)) == 0.0

@@ -10,6 +10,7 @@ from skewltl import (Features, PivotUnsupported, SkewMatrixLower, ZeroPivot,
                      ltlt_unb_ll, ltlt_unb_rl, ltlt_unb_twostep, random_skew,
                      reconstruct)
 from skewltl import instrument
+from skewltl.cli import VARIANT_NAMES, run_variant
 from skewltl.core import InvalidVariant, SkewTridiagonal, UnitLowerFactor
 from skewltl.oracle import gauss_elim_exact
 
@@ -169,7 +170,6 @@ class TestTwoStepBlocked:
         assert residual(x, r) <= 50 * EPS * m
 
     def test_pivot_rejected_via_cli_dispatch(self):
-        from skewltl.cli import run_variant
         with pytest.raises(PivotUnsupported):
             run_variant("blk-2step", random_skew(6, seed=0), block=2, pivot=True)
 
@@ -200,6 +200,24 @@ class TestTrace:
             ltlt_blk_var2a(x, b=8, panel_variant="rl")
         assert tr.count("skew_rank2", "trailing") == 0
         assert tr.count("skew_rank2", "panel") > 0
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("variant,pivot", [
+        (v, p) for v in VARIANT_NAMES for p in (False, True)
+        if not (p and v in ("blk-left", "blk-2step"))])
+    def test_rejected(self, variant, pivot, bad):
+        x = random_skew(40, seed=30)
+        x.data[23, 11] = bad
+        with pytest.raises(ValueError, match=r"\(23, 11\)"):
+            run_variant(variant, x, block=8, pivot=pivot)
+
+    def test_upper_triangle_not_checked(self):
+        x = random_skew(40, seed=30)
+        x.data[11, 23] = np.nan
+        r = ltlt_blk_piv(x, b=8)
+        assert np.all(np.isfinite(r.t.tau))
 
 
 class TestFeatures:

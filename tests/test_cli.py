@@ -48,6 +48,14 @@ class TestFactor:
                            "--variant", "unb-rl", "--pivot")
         assert code == 0
 
+    def test_malformed_input(self, capsys, tmp_path):
+        path = tmp_path / "dup.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real skew-symmetric\n"
+                        "3 3 2\n2 1 1.0\n2 1 5.0\n")
+        code, _, err = run(capsys, "factor", "--in", str(path))
+        assert code == 1
+        assert err.startswith("error:") and "duplicate" in err
+
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, "factor", "--in", "/nonexistent.mtx")
         assert code == 1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from skewltl import PermutationVector, SkewTridiagonal
-from skewltl.kernels2 import (PanelView, apply_row_pivots, gen_rank2,
+from skewltl.kernels2 import (apply_row_pivots, gen_rank2,
                               skew_rank2, skew_tridiag_gemv, trapezoid_rank2,
                               tridiag_matvec)
 
@@ -86,17 +86,6 @@ class TestSkewRank2:
         a, counter = counting(np.zeros((n, n), order="F"))
         skew_rank2(a, 1.0, RNG.standard_normal(n), RNG.standard_normal(n), 1.0)
         assert counter[0] == n * (n - 1) // 2
-
-    def test_worker_determinism(self):
-        n = 33
-        base = np.asfortranarray(RNG.standard_normal((n, n)))
-        x = RNG.standard_normal(n)
-        y = RNG.standard_normal(n)
-        a1 = base.copy(order="F")
-        a3 = base.copy(order="F")
-        skew_rank2(a1, 1.0, x, y, 1.0, workers=1)
-        skew_rank2(a3, 1.0, x, y, 1.0, workers=3)
-        assert np.array_equal(lower_of(a1), lower_of(a3))
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
@@ -212,15 +201,6 @@ class TestApplyRowPivots:
         assert b.tolist() == [2.0, 1.0, 3.0]
 
 
-def test_triangular_partition_covers_columns():
-    from skewltl.kernels2 import _triangular_partition
-    for n in (1, 2, 5, 17, 64, 200):
-        for w in (1, 2, 3, 7):
-            ranges = _triangular_partition(n, w)
-            flat = [j for lo, hi in ranges for j in range(lo, hi)]
-            assert flat == list(range(n))
-
-
 def test_level2_oracle_equivalence_100_instances():
     # every level-2 kernel equals its dense counterpart within
     # 4 eps n max|operand| per entry
@@ -267,12 +247,6 @@ class TestTrapezoid:
         want[il[keep], jl[keep]] += full[il[keep], jl[keep]]
         trapezoid_rank2(buf, start, climit, 1.0, x, y)
         assert np.allclose(np.tril(buf, -1), np.tril(want, -1))
-
-    def test_panel_view_shapes(self):
-        buf = np.zeros((8, 8), order="F")
-        v = PanelView(buf, 2, 5)
-        assert v.square.shape == (3, 3)
-        assert v.rect.shape == (3, 3)
 
     def test_empty_region(self):
         buf = np.asfortranarray(RNG.standard_normal((4, 4)))

@@ -1,13 +1,11 @@
-"""Cache-blocked level-3 kernels against dense references."""
+"""Block-column level-3 kernels against dense references."""
 
 import numpy as np
 import pytest
 
 from skewltl import SkewTridiagonal, form_s_splitting
-from skewltl.kernels3 import (form_w, get_block_config, set_block_config,
-                              skew_rank2k, skew_tridiag_gemm,
+from skewltl.kernels3 import (NB, form_w, skew_rank2k, skew_tridiag_gemm,
                               skew_tridiag_rankk)
-from skewltl import kernels3
 from skewltl.instrument import FlopCounter, counting
 from skewltl.oracle import dense_sandwich, sandwich_matmul
 
@@ -16,13 +14,6 @@ RNG = np.random.Generator(np.random.Philox(123))
 
 def lower_of(a):
     return np.tril(a, -1)
-
-
-@pytest.fixture(autouse=True)
-def restore_block_config():
-    saved = get_block_config()
-    yield
-    set_block_config(m_c=saved.m_c, k_c=saved.k_c, n_c=saved.n_c)
 
 
 class TestRankK:
@@ -38,14 +29,13 @@ class TestRankK:
         skew_tridiag_rankk(c, 1.0, np.eye(2), SkewTridiagonal(np.array([5.0])), 1.0)
         assert c[1, 0] == 5.0
 
-    @pytest.mark.parametrize("m,k", [(7, 3), (40, 7), (65, 9), (130, 16)])
+    @pytest.mark.parametrize("m,k", [(7, 3), (40, 7), (65, 9), (130, 16), (2 * NB + 37, 9)])
     @pytest.mark.parametrize("fused", [True, False])
     def test_against_dense(self, m, k, fused):
         a = RNG.standard_normal((m, k))
         t = SkewTridiagonal(RNG.standard_normal(k - 1))
         c = np.asfortranarray(RNG.standard_normal((m, m)))
         want = lower_of(c) - lower_of(sandwich_matmul(a, t.dense(), a.T))
-        set_block_config(m_c=16, k_c=8, n_c=16)
         skew_tridiag_rankk(c, -1.0, a, t, 1.0, fused=fused)
         tol = 8 * np.finfo(float).eps * k * max(1.0, np.max(np.abs(a))**2 * max(1.0, np.max(np.abs(t.tau))))
         assert np.allclose(lower_of(c), want, atol=tol)
@@ -59,40 +49,6 @@ class TestRankK:
         skew_tridiag_rankk(c, -1.0, a, SkewTridiagonal(RNG.standard_normal(k - 1)), 1.0)
         assert np.all(np.isnan(c[iu, ju]))
         assert np.all(np.isfinite(c[np.tril_indices(m, -1)]))
-
-    def test_blocking_transparency(self):
-        m, k = 48, 10
-        a = RNG.standard_normal((m, k))
-        t = SkewTridiagonal(RNG.standard_normal(k - 1))
-        c0 = np.asfortranarray(RNG.standard_normal((m, m)))
-        results = []
-        for m_c, n_c in ((8, 8), (16, 32), (64, 64)):
-            set_block_config(m_c=m_c, k_c=256, n_c=n_c)
-            c = c0.copy(order="F")
-            skew_tridiag_rankk(c, -1.0, a, t, 1.0)
-            results.append(lower_of(c))
-        # fixed k_c: bitwise independent of m_c and n_c
-        assert np.array_equal(results[0], results[1])
-        assert np.array_equal(results[0], results[2])
-        # k_c changes regroup the accumulation: tolerance equivalence only
-        set_block_config(m_c=16, k_c=4, n_c=16)
-        c = c0.copy(order="F")
-        skew_tridiag_rankk(c, -1.0, a, t, 1.0)
-        assert np.allclose(lower_of(c), results[0])
-
-    def test_workspace_bound(self):
-        set_block_config(m_c=16, k_c=8, n_c=16)
-        peaks = []
-        for m in (32, 96):
-            kernels3.last_workspace = 0
-            a = RNG.standard_normal((m, 8))
-            c = np.asfortranarray(RNG.standard_normal((m, m)))
-            skew_tridiag_rankk(c, -1.0, a, SkewTridiagonal(RNG.standard_normal(7)), 1.0)
-            peaks.append(kernels3.last_workspace)
-        cfg = get_block_config()
-        bound = cfg.k_c * cfg.n_c + cfg.m_c * cfg.n_c + (cfg.k_c + cfg.k_c // 4) * cfg.n_c
-        assert max(peaks) <= bound
-        assert peaks[0] == peaks[1]  # independent of m
 
     def test_aliasing_rejected(self):
         c = np.zeros((6, 6), order="F")
@@ -121,31 +77,31 @@ class TestGemm:
 
     @pytest.mark.parametrize("fused", [True, False])
     def test_against_dense(self, fused):
-        p, k, q = 20, 9, 30
-        a = RNG.standard_normal((p, k))
-        t = SkewTridiagonal(RNG.standard_normal(k - 1))
-        b = RNG.standard_normal((k, q))
-        c0 = RNG.standard_normal((p, q))
-        want = c0 - sandwich_matmul(a, t.dense(), b)
-        set_block_config(m_c=8, k_c=4, n_c=8)
-        c = c0.copy()
-        skew_tridiag_gemm(c, -1.0, a, t, b, 1.0, fused=fused)
-        assert np.allclose(c, want)
+        # the last two shapes span several NB-wide block columns and row chunks
+        k = 9
+        for p, q in ((20, 30), (2 * NB + 5, NB + 3), (NB + 3, 2 * NB + 5)):
+            a = RNG.standard_normal((p, k))
+            t = SkewTridiagonal(RNG.standard_normal(k - 1))
+            b = RNG.standard_normal((k, q))
+            c0 = RNG.standard_normal((p, q))
+            want = c0 - sandwich_matmul(a, t.dense(), b)
+            c = c0.copy()
+            skew_tridiag_gemm(c, -1.0, a, t, b, 1.0, fused=fused)
+            assert np.allclose(c, want), (p, q)
 
     def test_tril_mode(self):
-        p, k, q = 12, 5, 7
-        a = RNG.standard_normal((p, k))
-        t = SkewTridiagonal(RNG.standard_normal(k - 1))
-        b = RNG.standard_normal((k, q))
-        c0 = np.asfortranarray(RNG.standard_normal((p, q)))
-        set_block_config(m_c=4, k_c=8, n_c=4)
-        c = c0.copy(order="F")
-        skew_tridiag_gemm(c, -1.0, a, t, b, 1.0, tril=True)
-        prod = sandwich_matmul(a, t.dense(), b)
-        for i in range(p):
-            for j in range(q):
-                want = c0[i, j] - prod[i, j] if i > j else c0[i, j]
-                assert np.isclose(c[i, j], want)
+        k = 5
+        for p, q in ((12, 7), (2 * NB + 5, NB + 3), (NB + 3, 2 * NB + 5)):
+            a = RNG.standard_normal((p, k))
+            t = SkewTridiagonal(RNG.standard_normal(k - 1))
+            b = RNG.standard_normal((k, q))
+            c0 = np.asfortranarray(RNG.standard_normal((p, q)))
+            c = c0.copy(order="F")
+            skew_tridiag_gemm(c, -1.0, a, t, b, 1.0, tril=True)
+            prod = sandwich_matmul(a, t.dense(), b)
+            below = np.tril(np.ones((p, q), dtype=bool), -1)
+            assert np.allclose(c[below], (c0 - prod)[below]), (p, q)
+            assert np.array_equal(c[~below], c0[~below]), (p, q)
 
 
 class TestRank2K:
@@ -163,13 +119,18 @@ class TestRank2K:
         skew_rank2k(c, 0.0, np.ones((4, 2)), np.ones((4, 2)), 0.25)
         assert np.allclose(lower_of(c), want)
 
-    @pytest.mark.parametrize("m,k", [(12, 3), (32, 8)])
-    def test_against_dense(self, m, k):
+    @pytest.mark.parametrize("m,k,zero_cols", [
+        pytest.param(12, 3, False, id="12-3"),
+        pytest.param(32, 8, False, id="32-8"),
+        pytest.param(NB + 21, 6, True, id=f"{NB + 21}-6-zero-columns"),
+    ])
+    def test_against_dense(self, m, k, zero_cols):
         a = RNG.standard_normal((m, k))
         b = RNG.standard_normal((m, k))
+        if zero_cols:
+            b[:, ::2] = 0.0
         c0 = np.asfortranarray(RNG.standard_normal((m, m)))
         want = lower_of(c0) + 0.5 * lower_of(a.dot(b.T) - b.dot(a.T))
-        set_block_config(m_c=8, k_c=4, n_c=8)
         c = c0.copy(order="F")
         skew_rank2k(c, 0.5, a, b, 1.0)
         assert np.allclose(lower_of(c), want)
@@ -223,21 +184,6 @@ class TestFormW:
         skew_rank2k(c2, 1.0, a, w, 1.0)
         assert np.allclose(lower_of(c1), want)
         assert np.allclose(lower_of(c2), want)
-
-
-def test_worker_determinism():
-    # disjoint output tiles: identical bits for any worker count
-    m, k = 40, 7
-    a = RNG.standard_normal((m, k))
-    t = SkewTridiagonal(RNG.standard_normal(k - 1))
-    c0 = np.asfortranarray(RNG.standard_normal((m, m)))
-    set_block_config(m_c=8, k_c=8, n_c=8)
-    outs = []
-    for w in (1, 3):
-        c = c0.copy(order="F")
-        skew_tridiag_rankk(c, -1.0, a, t, 1.0, workers=w)
-        outs.append(lower_of(c))
-    assert np.array_equal(outs[0], outs[1])
 
 
 def test_triple_loop_validates_matmul_chain():

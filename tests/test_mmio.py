@@ -97,3 +97,21 @@ def test_nonsquare_rejected(tmp_path):
     path.write_text("%%MatrixMarket matrix coordinate real skew-symmetric\n2 3 0\n")
     with pytest.raises(ValueError, match="square"):
         mm_read(path)
+
+
+HEADER = "%%MatrixMarket matrix coordinate real skew-symmetric\n"
+
+
+@pytest.mark.parametrize("name,body,match", [
+    ("duplicate", "3 3 2\n2 1 1.0\n2 1 5.0\n", "duplicate entry"),
+    ("duplicate-diagonal", "2 2 2\n1 1 0.0\n1 1 0.0\n", "duplicate entry"),
+    ("nan", "2 2 1\n2 1 nan\n", "non-finite"),
+    ("inf", "2 2 1\n2 1 -inf\n", "non-finite"),
+    ("too-few", "3 3 3\n2 1 1.0\n", "1 entries, declared nnz=3"),
+    ("too-many", "3 3 1\n2 1 1.0\n3 1 2.0\n", "2 entries, declared nnz=1"),
+])
+def test_malformed_entries_rejected(tmp_path, name, body, match):
+    path = tmp_path / f"{name}.mtx"
+    path.write_text(HEADER + body)
+    with pytest.raises(ValueError, match=match):
+        mm_read(path)
