@@ -9,6 +9,7 @@ sweeps variants/sizes/blocks and emits CSV rows
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import statistics
 import sys
@@ -25,7 +26,7 @@ from .blocked import (DEFAULT_BLOCK, LADDER, LADDER_VARIANT,
                       ltlt_blk_var1, ltlt_blk_var2a, ltlt_blk_var2b)
 from .core import (InvalidVariant, PivotUnsupported, SkewMatrixLower,
                    ZeroPivot, random_skew, reconstruct)
-from .mmio import mm_read, mm_write
+from .mmio import _write_coordinate, mm_read, mm_write
 from .unblocked import (ltlt_unb_ll, ltlt_unb_rl, ltlt_unb_twostep)
 
 VARIANT_NAMES = ("unb-rl", "unb-ll", "unb-2step", "blk-var1", "blk-var2a",
@@ -71,9 +72,17 @@ def run_variant(name, x, block=DEFAULT_BLOCK, pivot=False, features=None):
 
 
 def residual_norm(x, result):
-    rec = reconstruct(result.l, result.t, result.p)
-    num = np.linalg.norm(rec.dense() - x.dense())
-    den = np.linalg.norm(x.dense())
+    """||P X P^T - L T L^T||_F / ||X||_F, with both operands scaled by max|X|
+    first so that entries near the overflow threshold do not square to inf."""
+    diff = reconstruct(result.l, result.t, result.p).dense()
+    xd = x.dense()
+    scale = xd.max()  # X = -X^T, so max X = max|X|
+    if scale:
+        diff /= scale
+        xd /= scale
+    diff -= xd
+    num = np.linalg.norm(diff)
+    den = np.linalg.norm(xd)
     return float(num / den) if den else float(num)
 
 
@@ -82,14 +91,15 @@ def _model_name(variant):
 
 
 def _write_factor_files(prefix, result):
-    m = result.l.m
-    ldense = result.l.dense()
-    rows = [(i, j, ldense[i, j]) for j in range(m) for i in range(j, m) if ldense[i, j] != 0]
-    with open(prefix + ".L.mtx", "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"{m} {m} {len(rows)}\n")
-        for i, j, v in rows:
-            fh.write(f"{i + 1} {j + 1} {float(v)!r}\n")
+    l = result.l
+    m = l.m
+    one = np.ones(1)
+    cols = [(0, 0, one)]
+    if l.first_column is not None:
+        cols.append((1, 0, l.first_column))
+    for j in range(1, m):
+        cols += [(j, j, one), (j + 1, j, l.data[j + 1:, j - 1])]
+    _write_coordinate(prefix + ".L.mtx", "general", m, cols)
     np.savetxt(prefix + ".tau.txt", np.asarray(result.t.tau, dtype=float))
     np.savetxt(prefix + ".p.txt", result.p.pivots, fmt="%d")
 
@@ -118,6 +128,10 @@ def cmd_factor(args):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     res = residual_norm(x, result)
+    if not math.isfinite(res):
+        print(f"error: non-finite residual ({res}); the factorization overflowed",
+              file=sys.stderr)
+        return 1
     if x.m <= 8:
         taus = ", ".join(f"{v:g}" for v in result.t.tau)
         print(f"tau = {taus}")

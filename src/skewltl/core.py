@@ -225,9 +225,9 @@ class UnitLowerFactor:
         for j in range(1, self.m):
             col = self.data[j + 1:, j - 1]
             if col.size:
-                worst = max(worst, float(np.max(np.abs(col.astype(float, copy=False)))))
+                worst = max(worst, float(np.max(np.abs(col))))
         if self.first_column is not None and self.first_column.size:
-            worst = max(worst, float(np.max(np.abs(self.first_column.astype(float, copy=False)))))
+            worst = max(worst, float(np.max(np.abs(self.first_column))))
         return worst
 
     def __repr__(self):

@@ -1,13 +1,15 @@
 """Flop accounting and kernel-call tracing.
 
-Factorization drivers and kernels are single-threaded Python (any
-parallelism is the BLAS's own), so a module-level active counter/trace is enough;
-kernels look them up on entry.  Nesting is supported by save/restore.
+The active counter, trace and scope live in context variables, which
+kernels look up on entry.  Each thread (and each asyncio task) sees its own
+values, so factorizations running concurrently count only their own flops;
+nesting restores the outer value on exit.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 
@@ -54,65 +56,56 @@ class CallTrace:
         )
 
 
-_counter = None
-_trace = None
-_scope = "trailing"
+_counter = ContextVar("skewltl_counter", default=None)
+_trace = ContextVar("skewltl_trace", default=None)
+_scope = ContextVar("skewltl_scope", default="trailing")
 
 
 @contextmanager
+def _bound(var, value):
+    token = var.set(value)
+    try:
+        yield value
+    finally:
+        var.reset(token)
+
+
 def counting(counter):
     """Route kernel flop counts into ``counter`` for the enclosed calls."""
-    global _counter
-    saved = _counter
-    _counter = counter
-    try:
-        yield counter
-    finally:
-        _counter = saved
+    return _bound(_counter, counter)
 
 
-@contextmanager
 def tracing(trace):
     """Record instrumented kernel calls into ``trace``."""
-    global _trace
-    saved = _trace
-    _trace = trace
-    try:
-        yield trace
-    finally:
-        _trace = saved
+    return _bound(_trace, trace)
 
 
-@contextmanager
 def scope(name):
-    global _scope
-    saved = _scope
-    _scope = name
-    try:
-        yield
-    finally:
-        _scope = saved
+    """Attribute the enclosed kernel calls to scope ``name``."""
+    return _bound(_scope, name)
 
 
 def current_scope():
-    return _scope
+    return _scope.get()
 
 
 def add_flops(kind, n):
-    if _counter is None:
+    counter = _counter.get()
+    if counter is None:
         return
-    if _scope == "panel" and kind != "pivot":
-        _counter.panel += n
+    if kind != "pivot" and _scope.get() == "panel":
+        counter.panel += n
     elif kind == "level2":
-        _counter.level2 += n
+        counter.level2 += n
     elif kind == "level3":
-        _counter.level3 += n
+        counter.level3 += n
     elif kind == "pivot":
-        _counter.pivot += n
+        counter.pivot += n
     else:
         raise ValueError(f"unknown flop class {kind!r}")
 
 
 def record_call(kernel):
-    if _trace is not None:
-        _trace.calls.append((kernel, _scope))
+    trace = _trace.get()
+    if trace is not None:
+        trace.calls.append((kernel, _scope.get()))

@@ -104,11 +104,9 @@ def skew_tridiag_gemv(y, alpha, a, t: SkewTridiagonal, x, beta=1, fused=True,
     The tridiagonal multiply is a cheap O(k) pass over x; with
     ``fused=False`` T is materialized densely first (ladder baseline).
 
-    ``tail_from`` lets a caller hand over A at full column height even when
-    only the tail rows of the product are wanted: when A is then contiguous
-    the product is formed whole on the fast matmul path and the head rows
-    are discarded (a memory-path decision; flop counts reflect only the
-    rows kept).
+    ``tail_from`` selects the rows of A that take part, so a caller can
+    hand over a full-height view of its buffer; only rows from
+    ``tail_from`` on are read and counted.
     """
     p, k = a.shape
     rows = p - tail_from
@@ -127,11 +125,10 @@ def skew_tridiag_gemv(y, alpha, a, t: SkewTridiagonal, x, beta=1, fused=True,
         instrument.add_flops("level2", 2 * k * k)
     if rows == 0:
         return
-    if fused and tail_from > 0 and a.flags.f_contiguous:
-        # fused fast path: evaluating the product at full column height
-        # keeps A contiguous for the matmul backend (head rows discarded);
-        # the unfused baseline sticks to plain calls on the operands as given
-        acc = a.dot(z)[tail_from:]
+    if fused:
+        # matmul hands the strided tail to gemv with its leading dimension;
+        # .dot would first copy it (the unfused baseline keeps .dot)
+        acc = a[tail_from:] @ z
     else:
         acc = a[tail_from:].dot(z)
     if beta == 1:

@@ -19,8 +19,10 @@ from . import instrument
 from .core import SkewTridiagonal
 
 # Block-column width and row-chunk height of the sweep.  Row chunks keep the
-# product temporaries short: a full-height one at a 32 KiB column stride is
-# about 35% slower.
+# product temporaries short: a full-height one was about 35% slower.  With the
+# drivers' padded leading dimension (n=3583, k=257 at ld 4104, one BLAS
+# thread) widths 128, 256 and 512 run at 27-36 GF/s, within the machine's
+# noise of one another, and 1024 at 20-25 GF/s.
 NB = 256
 
 

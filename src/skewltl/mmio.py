@@ -19,17 +19,32 @@ _BANNER = "%%MatrixMarket"
 _EXPECT = ("matrix", "coordinate", "real", "skew-symmetric")
 
 
-def mm_write(path, x: SkewMatrixLower):
-    m = x.m
-    il, jl = np.tril_indices(m, -1)
-    vals = x.data[il, jl]
-    keep = vals != 0
-    il, jl, vals = il[keep], jl[keep], vals[keep]
+def _write_coordinate(path, qualifier, m, segments, transpose=False):
+    """Write the nonzeros of ``segments`` as an m x m coordinate file.
+
+    ``segments`` is a sequence of (i, j, values): ``values`` runs down
+    column j from row i (0-based).  With ``transpose`` each entry is written
+    at the mirrored coordinate (j, i).  Every segment is formatted with one
+    join, so per-entry Python objects live only as long as their segment.
+    """
+    nnz = sum(int(np.count_nonzero(v)) for _, _, v in segments)
     with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real skew-symmetric\n")
-        fh.write(f"{m} {m} {len(vals)}\n")
-        for i, j, v in zip(il, jl, vals):
-            fh.write(f"{i + 1} {j + 1} {float(v)!r}\n")
+        fh.write(f"%%MatrixMarket matrix coordinate real {qualifier}\n{m} {m} {nnz}\n")
+        for i, j, values in segments:
+            nz = np.flatnonzero(values)
+            rows = (nz + (i + 1)).tolist()
+            vals = values[nz].astype(float, copy=False).tolist()
+            if transpose:
+                fh.write("".join(f"{j + 1} {r} {v!r}\n" for r, v in zip(rows, vals)))
+            else:
+                fh.write("".join(f"{r} {j + 1} {v!r}\n" for r, v in zip(rows, vals)))
+
+
+def mm_write(path, x: SkewMatrixLower):
+    """Write the strictly-lower entries of ``x`` row by row."""
+    rows = x.data.T
+    _write_coordinate(path, "skew-symmetric", x.m,
+                      [(0, i, rows[:i, i]) for i in range(x.m)], transpose=True)
 
 
 def mm_read(path) -> SkewMatrixLower:

@@ -1,5 +1,8 @@
 """Blocked drivers: block-size agreement, fused variants, pivoting, traces,
-feature toggles."""
+feature toggles, other dtypes, concurrent flop counting."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,7 +14,8 @@ from skewltl import (Features, PivotUnsupported, SkewMatrixLower, ZeroPivot,
                      reconstruct)
 from skewltl import instrument
 from skewltl.cli import VARIANT_NAMES, run_variant
-from skewltl.core import InvalidVariant, SkewTridiagonal, UnitLowerFactor
+from skewltl.core import (InvalidVariant, SkewTridiagonal, UnitLowerFactor,
+                          compose_permutation)
 from skewltl.oracle import gauss_elim_exact
 
 from helpers import random_int_skew, residual, worked_example
@@ -73,6 +77,27 @@ class TestExactAgreement:
                 r = blk(x, b=3, panel_variant=pv)
                 assert np.array_equal(r.t.tau, tau), (blk.__name__, pv)
                 assert np.array_equal(r.l.dense(), lm), (blk.__name__, pv)
+
+    def test_padded_object_buffer(self):
+        # m = 512 object entries is a 4 KiB column stride, so the object
+        # path runs on a padded buffer.  Rational elimination at this size
+        # takes minutes, so X = L T L^T is built from integer L (entries in
+        # {-1, 0, 1}) and tau = +-1: every quotient and update stays a small
+        # integer, held exactly, and the unique factors are known.  The
+        # pivot search sees |L| <= 1 below a unit entry, so it keeps every
+        # ties-to-lowest pivot in place.
+        m = 512
+        rng = np.random.Generator(np.random.Philox(9))
+        lm = np.tril(rng.integers(-1, 2, size=(m, m)), -1) + np.eye(m, dtype=np.int64)
+        lm[1:, 0] = 0
+        tau = rng.choice([-1, 1], size=m - 1)
+        dense = lm @ SkewTridiagonal(tau).dense() @ lm.T
+        x = SkewMatrixLower(np.tril(dense, -1).astype(object))
+        for r in (ltlt_blk_var2b(x, b=64), ltlt_blk_piv(x, b=64, fused="var2b")):
+            assert r.l.data.dtype == object and r.l.data.strides == (8, 520 * 8)
+            assert np.array_equal(r.t.tau, tau)
+            assert np.array_equal(r.l.dense(), lm)
+            assert not r.p.nontrivial
 
 
 @pytest.mark.parametrize("b", [1, 2, 3, 8, 16, 64])
@@ -273,6 +298,69 @@ def test_level3_dominates_nonpanel_flops():
     fc = ltlt_blk_var1(x, b=b).flops
     share = fc.level3 / (fc.level2 + fc.level3 + fc.pivot)
     assert share >= 0.90
+
+
+def _dtype_instance(dtype, m):
+    data = random_skew(m, seed=11).data
+    if np.dtype(dtype).kind == "c":
+        data = data + 1j * random_skew(m, seed=12).data
+    return SkewMatrixLower(data.astype(dtype))
+
+
+@pytest.mark.parametrize("dtype,m,padded", [
+    (np.float32, 1024, True), (np.float32, 300, False),
+    (np.complex128, 256, True), (np.complex128, 100, False),
+])
+@pytest.mark.parametrize("pivot", [False, True])
+def test_other_dtypes(dtype, m, padded, pivot):
+    """var2b and pivoted var2b in float32 and complex128, on padded and
+    unpadded buffers; errors are measured in double precision."""
+    x = _dtype_instance(dtype, m)
+    r = ltlt_blk_piv(x, b=64, fused="var2b") if pivot else ltlt_blk_var2b(x, b=64)
+    itemsize = np.dtype(dtype).itemsize
+    assert r.t.tau.dtype == dtype and r.l.data.dtype == dtype
+    assert (r.l.data.strides[1] != m * itemsize) == padded
+    ld = r.l.dense().astype(complex)
+    td = r.t.dense().astype(complex)
+    xd = x.dense().astype(complex)
+    if pivot:
+        perm = compose_permutation(r.p)
+        xd = xd[np.ix_(perm, perm)]
+    err = np.linalg.norm(ld @ td @ ld.T - xd)
+    eps = np.finfo(dtype).eps
+    if pivot:
+        assert r.l.max_abs() <= 1.0 + 4 * eps
+        assert err <= m * eps * np.linalg.norm(xd)
+    else:
+        # no growth control: bound by the componentwise |L||T||L^T| term
+        growth = np.linalg.norm(abs(ld) @ abs(td) @ abs(ld).T)
+        assert err <= m * eps * growth
+
+
+def test_concurrent_flop_counts():
+    """Drivers on concurrent threads each count exactly their own flops."""
+    jobs = [lambda: ltlt_blk_var2b(random_skew(300, seed=1), b=64),
+            lambda: ltlt_blk_piv(random_skew(300, seed=2), b=64, fused="var1")] * 2
+    serial = [job().flops for job in jobs]
+    got = [None] * len(jobs)
+    start = threading.Barrier(len(jobs))
+
+    def run(i):
+        start.wait()
+        got[i] = jobs[i]().flops
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == serial
 
 
 def test_bitwise_reproducible():

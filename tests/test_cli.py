@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 
-from skewltl import SkewMatrixLower, mm_write
+from skewltl import SkewMatrixLower, mm_write, random_skew
 from skewltl.cli import main
 
 from helpers import worked_example
@@ -77,6 +77,26 @@ class TestFactor:
         piv = np.loadtxt(prefix + ".p.txt", dtype=int)
         assert tau.shape == (11,)
         assert piv.shape == (12,)
+
+    def test_residual_finite_near_overflow(self, capsys, tmp_path):
+        # squaring entries of 1e300 overflows an unscaled Frobenius norm
+        path = tmp_path / "huge.mtx"
+        mm_write(path, random_skew(50, seed=1, scale=1e300))
+        code, out, _ = run(capsys, "factor", "--in", str(path),
+                           "--variant", "blk-var2b", "--pivot")
+        assert code == 0
+        res = float(out.split("residual=")[1].split()[0])
+        assert res < 1e-12
+
+    def test_non_finite_residual_exit_code(self, capsys, tmp_path):
+        # unpivoted growth from entries near 1e307 overflows the factors
+        path = tmp_path / "over.mtx"
+        mm_write(path, random_skew(50, seed=1, scale=1e307))
+        with np.errstate(all="ignore"):
+            code, out, err = run(capsys, "factor", "--in", str(path), "--variant", "blk-var2b")
+        assert code == 1
+        assert err.startswith("error:") and "non-finite residual" in err
+        assert "residual=" not in out
 
     def test_matrix_market_input_roundtrip(self, capsys, tmp_path):
         path = tmp_path / "w.mtx"

@@ -152,6 +152,21 @@ class TestSkewTridiagGemv:
         skew_tridiag_gemv(y2, -1.0, np.ascontiguousarray(a[r0:]), t, x, 1.0)
         assert np.allclose(y1, y2, atol=1e-14)
 
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_tail_from_on_padded_view(self, fused):
+        # A as the drivers hand it over: full column height, a view into a
+        # buffer whose leading dimension exceeds the row count
+        p, k, r0 = 40, 6, 9
+        a = np.asfortranarray(RNG.standard_normal((p + 8, k)))[:p]
+        assert not a.flags.f_contiguous
+        t = SkewTridiagonal(RNG.standard_normal(k - 1))
+        x = RNG.standard_normal(k)
+        y0 = RNG.standard_normal(p - r0)
+        want = 0.5 * y0 + 1.5 * a[r0:].dot(t.dense().dot(x))
+        y = y0.copy()
+        skew_tridiag_gemv(y, 1.5, a, t, x, 0.5, fused=fused, tail_from=r0)
+        assert np.allclose(y, want, rtol=1e-13, atol=1e-13)
+
     def test_tridiag_matvec_bounds(self):
         tau = np.array([2.0, 3.0])
         z = tridiag_matvec(tau, np.array([1.0, 1.0, 1.0]))

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from skewltl import SkewMatrixLower, mm_read, mm_write, random_skew
+from skewltl.cli import _write_factor_files
+from skewltl.core import PermutationVector, SkewTridiagonal, UnitLowerFactor
+from skewltl.instrument import FlopCounter
+from skewltl.unblocked import FactorizationResult
 
 
 def test_roundtrip(tmp_path):
@@ -115,3 +119,50 @@ def test_malformed_entries_rejected(tmp_path, name, body, match):
     path.write_text(HEADER + body)
     with pytest.raises(ValueError, match=match):
         mm_read(path)
+
+
+def test_write_format_exact(tmp_path):
+    # row-major order over the strictly-lower triangle, explicit zeros
+    # (including -0.0) dropped, values written as repr of the float
+    x = SkewMatrixLower.zeros(4)
+    x.data[1, 0], x.data[2, 0], x.data[3, 0] = 0.1, 0.0, -2.5
+    x.data[2, 1], x.data[3, 1], x.data[3, 2] = 1e-300, -0.0, 3.0
+    path = tmp_path / "x.mtx"
+    mm_write(path, x)
+    assert path.read_text() == (
+        "%%MatrixMarket matrix coordinate real skew-symmetric\n"
+        "4 4 4\n"
+        "2 1 0.1\n"
+        "3 2 1e-300\n"
+        "4 1 -2.5\n"
+        "4 3 3.0\n")
+    scipy_io = pytest.importorskip("scipy.io")
+    assert np.array_equal(scipy_io.mmread(path).toarray(), x.dense())
+
+
+def test_factor_file_format_exact(tmp_path):
+    # L column by column with its unit diagonal; the first column and the
+    # stored entries below the subdiagonal slots, zeros dropped
+    d = np.zeros((4, 4), order="F")
+    d[2, 0], d[3, 0], d[3, 1] = 0.25, 0.0, -1.5
+    d[2, 1] = 7.0  # the subdiagonal slot of L column 2: not part of L's body
+    l = UnitLowerFactor(d, "ones", np.array([0.0, 0.5, 0.0]))
+    result = FactorizationResult(l, SkewTridiagonal(np.array([1.0, 2.0, 3.0])),
+                                 PermutationVector(np.zeros(4, dtype=np.int64), 4),
+                                 FlopCounter())
+    prefix = str(tmp_path / "fac")
+    _write_factor_files(prefix, result)
+    path = prefix + ".L.mtx"
+    with open(path) as fh:
+        assert fh.read() == (
+            "%%MatrixMarket matrix coordinate real general\n"
+            "4 4 7\n"
+            "1 1 1.0\n"
+            "3 1 0.5\n"
+            "2 2 1.0\n"
+            "3 2 0.25\n"
+            "3 3 1.0\n"
+            "4 3 -1.5\n"
+            "4 4 1.0\n")
+    scipy_io = pytest.importorskip("scipy.io")
+    assert np.array_equal(scipy_io.mmread(path).toarray(), l.dense())

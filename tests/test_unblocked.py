@@ -12,6 +12,7 @@ from skewltl import (InvalidVariant, SkewMatrixLower, ZeroPivot, ltlt_unb_ll,
                      ltlt_unb_panel, ltlt_unb_rl, ltlt_unb_twostep,
                      random_skew, reconstruct)
 from skewltl.oracle import exact_from_int, flop_model, gauss_elim_exact
+from skewltl.unblocked import _workbuf
 
 from helpers import random_int_skew, residual, worked_example
 
@@ -240,3 +241,25 @@ def test_property_reconstruction_small(m, seed):
     x = random_skew(m, seed=seed)
     r = ltlt_unb_ll(x, pivot=True)
     assert residual(x, r) <= 50 * EPS * m
+
+
+class TestWorkLayout:
+    def test_power_of_two_stride_padded(self):
+        # 512 doubles is a 4 KiB column stride: padded by one cache line
+        x = random_skew(512, seed=1)
+        work, tau = _workbuf(x)
+        assert work.shape == (512, 512) and tau.shape == (511,)
+        assert np.array_equal(work, x.data)
+        assert work.strides == (8, 520 * 8)
+        assert work.strides[1] % 4096 != 0
+
+    def test_other_stride_unchanged(self):
+        x = random_skew(500, seed=1)
+        work, _ = _workbuf(x)
+        assert np.array_equal(work, x.data)
+        assert work.strides == (8, 500 * 8)
+
+    def test_factor_is_the_padded_view(self):
+        r = ltlt_unb_ll(random_skew(512, seed=2))
+        assert r.l.data.shape == (512, 512)
+        assert r.l.data.strides == (8, 520 * 8)
