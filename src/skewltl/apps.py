@@ -36,6 +36,13 @@ def pfaffian(x: SkewMatrixLower, b=None):
     return val
 
 
+def _solve_dtype(*arrays):
+    """Working dtype of a solve: float64 or wider, complex when any operand
+    is; exact (object) operands are solved in float64."""
+    kinds = [np.float64 if a.dtype == object else a.dtype for a in arrays]
+    return np.result_type(*kinds, np.float64)
+
+
 def _tridiag_solve(tau, rhs, tol_scale=10.0):
     """Solve T y = rhs for the skew tridiagonal T by Gaussian elimination
     with partial pivoting (one extra superdiagonal of fill).
@@ -43,14 +50,16 @@ def _tridiag_solve(tau, rhs, tol_scale=10.0):
     Raises SingularT when a pivot falls at or below 10 eps max|tau|.
     Right-hand sides are solved together as columns.
     """
+    tau, rhs = np.asarray(tau), np.asarray(rhs)
+    dt = _solve_dtype(tau, rhs)
     m = len(tau) + 1
-    x = np.array(rhs, dtype=float)
+    x = np.array(rhs, dtype=dt)
     if x.shape[0] != m:
         raise ValueError("dimension mismatch")
-    d = np.zeros(m)
-    e = np.zeros(m)
-    f2 = np.zeros(m)
-    sub = np.array(tau, dtype=float)
+    d = np.zeros(m, dtype=dt)
+    e = np.zeros(m, dtype=dt)
+    f2 = np.zeros(m, dtype=dt)
+    sub = np.array(tau, dtype=dt)
     if m > 1:
         e[:m - 1] = -sub
     big = float(np.max(np.abs(sub))) if m > 1 else 0.0
@@ -83,13 +92,16 @@ def solve(x: SkewMatrixLower, b, block=None, tol_scale=10.0):
     """Solve X y = b through the pivoted factorization: permute, unit-lower
     solve, pivoted tridiagonal solve, transposed unit-lower solve, permute
     back.  b may carry multiple right-hand sides as columns (solved
-    together).  Raises SingularT for (numerically) singular X, which
-    includes every odd m.
+    together).  The result is complex when X or b is, float64 otherwise.
+    Raises SingularT for (numerically) singular X, which includes every
+    odd m.
     """
     from scipy.linalg import solve_triangular
 
     m = x.m
-    b = np.asarray(b, dtype=float)
+    b = np.asarray(b)
+    dt = _solve_dtype(x.data, b)
+    b = b.astype(dt, copy=False)
     one_d = b.ndim == 1
     rhs = b.reshape(m, -1) if one_d else b
     if rhs.shape[0] != m:
@@ -97,7 +109,7 @@ def solve(x: SkewMatrixLower, b, block=None, tol_scale=10.0):
     res = ltlt_blk_piv(x, b=block or min(DEFAULT_BLOCK, m))
     perm = compose_permutation(res.p)
     z = rhs[perm]
-    ldense = res.l.dense()
+    ldense = res.l.dense().astype(dt, copy=False)
     z = solve_triangular(ldense, z, lower=True, unit_diagonal=True)
     z = _tridiag_solve(res.t.tau, z, tol_scale=tol_scale)
     z = solve_triangular(ldense, z, trans="T", lower=True, unit_diagonal=True)

@@ -27,7 +27,8 @@ from .core import (InvalidVariant, PivotUnsupported, SkewMatrixLower,
                    SkewTridiagonal, form_s_splitting)
 from .instrument import FlopCounter, counting
 from .kernels2 import apply_row_pivots, skew_rank2, skew_tridiag_gemv
-from .kernels3 import form_w, skew_rank2k, skew_tridiag_gemm, skew_tridiag_rankk
+from .kernels3 import (PANEL_NB, form_w, skew_rank2k, skew_tridiag_gemm,
+                       skew_tridiag_rankk)
 from .unblocked import (FactorizationResult, _apply_pending, _finalize,
                         _panel_ll, _panel_rl, _panel_twostep, _workbuf)
 
@@ -79,14 +80,16 @@ def _require_external_t(f, who):
         raise InvalidVariant(f"{who} needs tau in an external vector (external_t)")
 
 
-def _run_panel(work, tau, base, nelim, variant, f, carry, pivot=False, pivots=None):
+def _run_panel(work, tau, base, nelim, variant, f, carry):
+    """Unpivoted panel of [base, base + nelim); ``carry`` folds in the
+    delayed transform of the previous block."""
     climit = base + nelim
     lo = base - 1 if carry else base
     kw = dict(fused_l2=f.fused_l2, external_t=f.external_t)
     with instrument.scope("panel"):
         if variant == "ll":
-            _panel_ll(work, tau, base, nelim, lo, pivot=pivot, pivots=pivots,
-                      swap_from=lo, **kw)
+            _panel_ll(work, tau, base, nelim, lo, fused_l3=f.fused_l3,
+                      width=PANEL_NB, **kw)
         elif variant == "rl":
             if carry:
                 _apply_pending(work, base, climit, fused_l2=f.fused_l2)

@@ -25,6 +25,13 @@ from .core import SkewTridiagonal
 # noise of one another, and 1024 at 20-25 GF/s.
 NB = 256
 
+# Inner block width of the blocked drivers' unpivoted left-looking panels:
+# one sandwiched product per block of this many columns, then short
+# matrix-vector products inside it.  With var2b at m=4096 (b=256, one BLAS
+# thread) widths 1, 16, 32, 64 and 128 took 1.30, 1.08, 1.05, 1.04 and
+# 1.16 s, of which the panels took 0.48, 0.25, 0.23, 0.22 and 0.32 s.
+PANEL_NB = 32
+
 
 def _check_alias(c, a, name):
     if a is not None and np.shares_memory(c, a):

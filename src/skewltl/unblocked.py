@@ -8,11 +8,15 @@ elimination overwrites column by column.  Once column g is eliminated,
 buffer column g holds column g+1 of L shifted one column left (with an
 explicit 1.0 in the subdiagonal slot once tau[g] has moved to the external
 vector), so a finished panel is directly consumable as the A operand of the
-sandwiched trailing updates.  When the column stride would be a multiple of
-4 KiB, the buffer is allocated one cache line taller and the drivers work
-on (and return L as) its top m rows: power-of-two strides map the columns
-of a block onto the same cache sets, which at m = 4096 made the trailing
-update run at a third of its padded rate.
+sandwiched trailing updates.  The same holds inside a panel: the blocked
+drivers' unpivoted left-looking panels eliminate in inner blocks, and each
+block first takes the couplings of the finished columns to its left in one
+sandwiched product.  A panel writes only its own columns.  When the column
+stride would be a multiple of 4 KiB, the buffer is allocated one cache line
+taller and the drivers work on (and return L as) its top m rows:
+power-of-two strides map the columns of a block onto the same cache sets,
+which at m = 4096 made the trailing update run at a third of its padded
+rate.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .core import (InvalidVariant, PermutationVector, SkewMatrixLower,
                    _sym_swap_lower)
 from .instrument import FlopCounter, counting
 from .kernels2 import skew_rank2, skew_tridiag_gemv, trapezoid_rank2
-from .kernels3 import NB, _tril_mask
+from .kernels3 import NB, _tril_mask, skew_tridiag_gemm
 
 VARIANTS = ("rl", "ll", "twostep")
 
@@ -123,29 +127,51 @@ def _eliminate(work, tau, g, external_t=True, pivot=False, pivots=None, swap_fro
 
 
 def _panel_ll(work, tau, base, nelim, lo, *, pivot=False, pivots=None,
-              swap_from=None, fused_l2=True, external_t=True):
+              swap_from=None, fused_l2=True, external_t=True, fused_l3=True,
+              width=1):
     """Left-looking eliminations of columns [base, base + nelim).
 
     ``lo`` is the leftmost buffer column participating in the column
     updates: lo == base for a fresh panel, lo == base - 1 when the delayed
     transform of the previous block still has to be folded in.  Each column
     is updated against the L columns and tau values to its left, then
-    (optionally) pivoted, then eliminated; nothing outside the column being
-    processed is written, so panel writes stay inside the panel.
+    (optionally) pivoted, then eliminated.
+
+    The columns are taken in inner blocks of ``width`` (1 with pivoting,
+    and without ``external_t``, where the unit entries of L that the block
+    product reads are not stored).  Before a block [g0, g1) is eliminated, the
+    couplings of columns [lo, g0) reach all of it in one sandwiched
+    matrix-matrix product on its strictly-lower part; each column g then
+    needs only the couplings of [max(lo, g0 - 1), g), one matrix-vector
+    product of at most ``width`` + 1 columns.  The two ranges share column
+    g0 - 1 but no coupling.  Pivoting stays column by column: a symmetric
+    swap with a column outside the block would mix updated and raw data.
+    Writes stay inside the panel's columns.
     """
     if swap_from is None:
         swap_from = lo
-    for g in range(base, base + nelim):
-        if g - lo >= 2:
-            if external_t:
-                xrow = work[g, lo:g]
-            else:
-                xrow = work[g, lo:g].copy()
-                xrow[-1] = 1
-            skew_tridiag_gemv(work[g + 1:, g], -1, work[:, lo:g],
-                              SkewTridiagonal(tau[lo + 1:g]), xrow, 1,
-                              fused=fused_l2, tail_from=g + 1)
-        _eliminate(work, tau, g, external_t, pivot, pivots, swap_from)
+    if pivot or not external_t:
+        width = 1
+    end = base + nelim
+    for g0 in range(base, end, width):
+        g1 = min(g0 + width, end)
+        mid = g0 if width > 1 else lo   # columns [lo, mid) go in one product
+        if mid - lo >= 2:
+            skew_tridiag_gemm(work[g0:, g0:g1], -1, work[g0:, lo:mid],
+                              SkewTridiagonal(tau[lo + 1:mid]), work[g0:g1, lo:mid].T,
+                              1, tril=True, fused=fused_l3)
+        left = max(lo, mid - 1)
+        for g in range(g0, g1):
+            if g - left >= 2:
+                if external_t:
+                    xrow = work[g, left:g]
+                else:
+                    xrow = work[g, left:g].copy()
+                    xrow[-1] = 1
+                skew_tridiag_gemv(work[g + 1:, g], -1, work[:, left:g],
+                                  SkewTridiagonal(tau[left + 1:g]), xrow, 1,
+                                  fused=fused_l2, tail_from=g + 1)
+            _eliminate(work, tau, g, external_t, pivot, pivots, swap_from)
 
 
 def _panel_rl(work, tau, base, nelim, climit, *, fused_l2=True, external_t=True,

@@ -102,6 +102,29 @@ class TestSolve:
             num = np.linalg.norm(x.dense().dot(y) - x.dense().dot(want))
             assert num <= 100 * eps * m * np.linalg.norm(x.dense()) * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("complex_b", [False, True])
+    def test_complex_x(self, complex_b):
+        # complex X is solved in complex arithmetic, never cast to float
+        eps = np.finfo(float).eps
+        rng = np.random.Generator(np.random.Philox(10))
+        for m in (6, 200):
+            d = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            d = d - d.T
+            x = SkewMatrixLower.from_dense(d)
+            b = rng.standard_normal((m, 2))
+            if complex_b:
+                b = b + 1j * rng.standard_normal((m, 2))
+            y = solve(x, b)
+            assert y.dtype == np.complex128
+            num = np.linalg.norm(d @ y - b)
+            assert num <= 100 * eps * m * np.linalg.norm(d) * np.linalg.norm(y)
+
+    def test_exact_x_solved_in_float64(self):
+        x = exact_from_int([2, 1, 3, 4, 1, 5], 4)
+        y = solve(x, np.ones(4))
+        assert y.dtype == np.float64
+        assert np.allclose(x.dense().astype(float) @ y, 1.0, atol=1e-12)
+
     def test_singular_rank2(self):
         # X = u v^T - v u^T has rank 2; solving a 4x4 must fail
         rng = np.random.Generator(np.random.Philox(7))

@@ -16,6 +16,7 @@ from skewltl import instrument
 from skewltl.cli import VARIANT_NAMES, run_variant
 from skewltl.core import (InvalidVariant, SkewTridiagonal, UnitLowerFactor,
                           compose_permutation)
+from skewltl.kernels3 import PANEL_NB
 from skewltl.oracle import gauss_elim_exact
 
 from helpers import random_int_skew, residual, worked_example
@@ -86,18 +87,35 @@ class TestExactAgreement:
         # integer, held exactly, and the unique factors are known.  The
         # pivot search sees |L| <= 1 below a unit entry, so it keeps every
         # ties-to-lowest pivot in place.
-        m = 512
-        rng = np.random.Generator(np.random.Philox(9))
-        lm = np.tril(rng.integers(-1, 2, size=(m, m)), -1) + np.eye(m, dtype=np.int64)
-        lm[1:, 0] = 0
-        tau = rng.choice([-1, 1], size=m - 1)
-        dense = lm @ SkewTridiagonal(tau).dense() @ lm.T
-        x = SkewMatrixLower(np.tril(dense, -1).astype(object))
+        lm, tau, x = _known_integer_factors(512, seed=9)
         for r in (ltlt_blk_var2b(x, b=64), ltlt_blk_piv(x, b=64, fused="var2b")):
             assert r.l.data.dtype == object and r.l.data.strides == (8, 520 * 8)
             assert np.array_equal(r.t.tau, tau)
             assert np.array_equal(r.l.dense(), lm)
             assert not r.p.nontrivial
+
+    @pytest.mark.parametrize("b", [40, 96])
+    def test_inner_block_boundaries(self, b):
+        # unpivoted panels run in PANEL_NB-column inner blocks; with b = 40
+        # and 96 the inner blocks straddle both the var2a carry column and
+        # the var2b extra column.  Exact factors, built as above.
+        m = 200
+        lm, tau, x = _known_integer_factors(m, seed=12)
+        for blk in BLOCKED:
+            r = blk(x, b=b)
+            assert np.array_equal(r.t.tau, tau), blk.__name__
+            assert np.array_equal(r.l.dense(), lm), blk.__name__
+
+
+def _known_integer_factors(m, seed):
+    """L with entries in {-1, 0, 1}, tau = +-1 and X = L T L^T as exact
+    (object dtype) integers."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    lm = np.tril(rng.integers(-1, 2, size=(m, m)), -1) + np.eye(m, dtype=np.int64)
+    lm[1:, 0] = 0
+    tau = rng.choice([-1, 1], size=m - 1)
+    dense = lm @ SkewTridiagonal(tau).dense() @ lm.T
+    return lm, tau, SkewMatrixLower(np.tril(dense, -1).astype(object))
 
 
 @pytest.mark.parametrize("b", [1, 2, 3, 8, 16, 64])
@@ -225,6 +243,29 @@ class TestTrace:
             ltlt_blk_var2a(x, b=8, panel_variant="rl")
         assert tr.count("skew_rank2", "trailing") == 0
         assert tr.count("skew_rank2", "panel") > 0
+
+    def test_panel_gemm_only_in_unpivoted_external_t_panels(self):
+        # one sandwiched product per inner block after the first; pivoted
+        # panels, split-update panels and the unblocked reference stay
+        # column by column
+        m = 2 * PANEL_NB + 40
+        x = random_skew(m, seed=25)
+        runs = {"var2b": lambda: ltlt_blk_var2b(x, b=m),
+                "piv-var2b": lambda: ltlt_blk_piv(x, b=m, fused="var2b"),
+                "split-var1": lambda: ltlt_blk_var1(
+                    x, b=m, features=Features(external_t=False)),
+                "unb-ll": lambda: ltlt_unb_ll(x)}
+        counts = {}
+        for name, run in runs.items():
+            tr = instrument.CallTrace()
+            with instrument.tracing(tr):
+                run()
+            counts[name] = (tr.count("skew_tridiag_gemm", "panel"),
+                            tr.count("skew_tridiag_gemm"))
+        # b = m: a single panel of m - 1 columns and no trailing update
+        gemms = (m - 1) // PANEL_NB
+        assert counts == {"var2b": (gemms, gemms), "piv-var2b": (0, 0),
+                          "split-var1": (0, 0), "unb-ll": (0, 0)}
 
 
 class TestNonFinite:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from skewltl import SkewMatrixLower, mm_read, mm_write, random_skew
+from skewltl import SkewMatrixLower, mm_read, mm_write, mmio, random_skew
 from skewltl.cli import _write_factor_files
 from skewltl.core import PermutationVector, SkewTridiagonal, UnitLowerFactor
 from skewltl.instrument import FlopCounter
@@ -113,12 +113,58 @@ HEADER = "%%MatrixMarket matrix coordinate real skew-symmetric\n"
     ("inf", "2 2 1\n2 1 -inf\n", "non-finite"),
     ("too-few", "3 3 3\n2 1 1.0\n", "1 entries, declared nnz=3"),
     ("too-many", "3 3 1\n2 1 1.0\n3 1 2.0\n", "2 entries, declared nnz=1"),
+    # entry lines are "row col value" with integer indices; the line number
+    # counts the header, comment and blank lines
+    ("two-fields", "% c\n3 3 2\n3 1 1.0\n\n2 1\n", r"line 6: expected 'row col value'"),
+    ("four-fields", "3 3 2\n3 1 1.0\n2 1 1.0 7\n", r"line 4: expected 'row col value'"),
+    ("non-integer-index", "3 3 1\n2.5 1 1.0\n", r"line 3: expected 'row col value'"),
+    ("float-index", "3 3 1\n2.0 1 1.0\n", r"line 3: expected 'row col value'"),
+    ("bad-value", "3 3 1\n2 1 abc\n", r"line 3: expected 'row col value'"),
 ])
 def test_malformed_entries_rejected(tmp_path, name, body, match):
     path = tmp_path / f"{name}.mtx"
     path.write_text(HEADER + body)
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=rf"{name}\.mtx: .*{match}"):
         mm_read(path)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 1 << 16])
+def test_first_offending_entry_reported(tmp_path, monkeypatch, chunk):
+    # a NaN precedes an entry above the diagonal: the NaN is named
+    monkeypatch.setattr(mmio, "_CHUNK_ROWS", chunk)
+    path = tmp_path / "order.mtx"
+    path.write_text(HEADER + "4 4 3\n2 1 1.0\n3 1 nan\n1 3 2.0\n")
+    with pytest.raises(ValueError, match=r"non-finite value 'nan' at \(3, 1\)"):
+        mm_read(path)
+
+
+def test_comments_and_blank_lines_in_body(tmp_path):
+    path = tmp_path / "cb.mtx"
+    path.write_text(HEADER + "3 3 3\n2 1 4.0\n\n% middle\n3 1 1.0\n   \n"
+                    "% another\n3 2 5.0\n\n")
+    x = mm_read(path)
+    assert (x.data[1, 0], x.data[2, 0], x.data[2, 1]) == (4.0, 1.0, 5.0)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_duplicate_across_chunks(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(mmio, "_CHUNK_ROWS", chunk)
+    path = tmp_path / "dup.mtx"
+    path.write_text(HEADER + "4 4 4\n2 1 1.0\n3 1 2.0\n4 1 3.0\n2 1 5.0\n")
+    with pytest.raises(ValueError, match=r"duplicate entry \(2, 1\)"):
+        mm_read(path)
+
+
+def test_roundtrip_several_chunks(tmp_path):
+    m = 400   # 79,800 entries: two chunks
+    assert m * (m - 1) // 2 > mmio._CHUNK_ROWS
+    x = random_skew(m, seed=6)
+    path = tmp_path / "big.mtx"
+    mm_write(path, x)
+    y = mm_read(path)
+    assert np.array_equal(x.data, y.data)
+    scipy_io = pytest.importorskip("scipy.io")
+    assert np.array_equal(scipy_io.mmread(path).toarray(), y.dense())
 
 
 def test_write_format_exact(tmp_path):
