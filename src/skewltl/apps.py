@@ -10,7 +10,7 @@ from .core import SingularT, SkewMatrixLower, compose_permutation
 
 
 def pfaffian(x: SkewMatrixLower, b=None):
-    """Pfaffian of x via the pivoted factorization.
+    """Pfaffian of x via the pivoted factorization (fused scheme var2b).
 
     Pf(T) for the tridiagonal factor is the product of (-tau[2r]) under the
     convention Pf([[0, a], [-a, 0]]) = a, and each nontrivial pivot flips
@@ -23,7 +23,7 @@ def pfaffian(x: SkewMatrixLower, b=None):
         return 1.0
     if m % 2:
         return 0.0 if x.data.dtype != object else 0
-    res = ltlt_blk_piv(x, b=b or min(DEFAULT_BLOCK, m))
+    res = ltlt_blk_piv(x, b=b or min(DEFAULT_BLOCK, m), fused="var2b")
     tau = res.t.tau
     if tau.dtype != object:
         with np.errstate(divide="ignore"):
@@ -89,12 +89,12 @@ def _tridiag_solve(tau, rhs, tol_scale=10.0):
 
 
 def solve(x: SkewMatrixLower, b, block=None, tol_scale=10.0):
-    """Solve X y = b through the pivoted factorization: permute, unit-lower
-    solve, pivoted tridiagonal solve, transposed unit-lower solve, permute
-    back.  b may carry multiple right-hand sides as columns (solved
-    together).  The result is complex when X or b is, float64 otherwise.
-    Raises SingularT for (numerically) singular X, which includes every
-    odd m.
+    """Solve X y = b through the pivoted factorization (fused scheme var2b):
+    permute, unit-lower solve, pivoted tridiagonal solve, transposed
+    unit-lower solve, permute back.  b may carry multiple right-hand sides
+    as columns (solved together).  The result is complex when X or b is,
+    float64 otherwise.  Raises SingularT for (numerically) singular X,
+    which includes every odd m.
     """
     from scipy.linalg import solve_triangular
 
@@ -106,7 +106,7 @@ def solve(x: SkewMatrixLower, b, block=None, tol_scale=10.0):
     rhs = b.reshape(m, -1) if one_d else b
     if rhs.shape[0] != m:
         raise ValueError("dimension mismatch")
-    res = ltlt_blk_piv(x, b=block or min(DEFAULT_BLOCK, m))
+    res = ltlt_blk_piv(x, b=block or min(DEFAULT_BLOCK, m), fused="var2b")
     perm = compose_permutation(res.p)
     z = rhs[perm]
     ldense = res.l.dense().astype(dt, copy=False)

@@ -76,8 +76,11 @@ class SkewMatrixLower:
         return SkewMatrixLower(np.array(self.data, order="F"))
 
     def norm(self):
-        """Frobenius norm of the implicit full matrix."""
-        lower = np.tril(self.data, -1).astype(float, copy=False)
+        """Frobenius norm of the implicit full matrix, computed in float64
+        or complex128 (exact entries as float64)."""
+        lower = np.tril(self.data, -1)
+        dt = np.float64 if lower.dtype == object else np.result_type(lower.dtype, np.float64)
+        lower = lower.astype(dt, copy=False)
         return float(np.sqrt(2.0) * np.linalg.norm(lower))
 
     def __repr__(self):

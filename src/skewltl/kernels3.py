@@ -5,24 +5,38 @@ column the k-side operand (T A^T, T B, or the stacked rank-2k factors) is
 packed, so the tridiagonal multiply rides along with that packing step and
 no workspace proportional to the full k x m product is ever formed.  The
 diagonal block merges through a mask, so entries at or above the diagonal
-are never written (and garbage stored there never propagates); the rows
-below are updated in ``NB``-row chunks with plain matmuls.  Cache blocking
-inside each product is the BLAS's own (Goto and van de Geijn, TOMS 2008),
-as is any threading.
+are never written (and garbage stored there never propagates).  The strip
+below it is accumulated in place by one BLAS ``?gemm`` with beta = 1 and C's
+own leading dimension, as BLIS-style GEMM accumulates into C (Goto and van
+de Geijn, TOMS 2008); cache blocking and any threading are the BLAS's own.
+Operands BLAS cannot take (exact scalars, mixed dtypes, rows of C that are
+not unit-strided) are updated in ``NB``-row chunks with plain matmuls.
+
+The BLAS is the OpenBLAS numpy itself has loaded for ``matmul``
+(``numpy.libs/libscipy_openblas64_-*.so`` in Linux wheels, under
+``numpy/.dylibs`` on macOS), reached through ctypes, so it adds no library
+to the process and follows the same ``OPENBLAS_NUM_THREADS``.  scipy's
+``cython_blas`` would load scipy's separate copy of OpenBLAS, and its f2py
+``dgemm`` copies any view whose leading dimension is not its height.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
 
 import numpy as np
 
 from . import instrument
 from .core import SkewTridiagonal
 
-# Block-column width and row-chunk height of the sweep.  Row chunks keep the
-# product temporaries short: a full-height one was about 35% slower.  With the
-# drivers' padded leading dimension (n=3583, k=257 at ld 4104, one BLAS
-# thread) widths 128, 256 and 512 run at 27-36 GF/s, within the machine's
-# noise of one another, and 1024 at 20-25 GF/s.
+# Block-column width of the sweep, and the row-chunk height of its matmul
+# fallback (where a full-height temporary was about 35% slower).  With the
+# in-place strip and the drivers' padded leading dimension (n=3583, k=257 at
+# ld 4104, one BLAS thread, median of 5 alternated) widths 64, 128, 256, 512
+# and 1024 ran at 32, 35, 34, 31 and 26 GF/s in one machine phase, and 128
+# and 256 at 39 and 38 GF/s in another: the diagonal tile's temporary and
+# masked merge grow with the width, the number of BLAS calls shrinks.
 NB = 256
 
 # Inner block width of the blocked drivers' unpivoted left-looking panels:
@@ -109,11 +123,89 @@ def _pack_t(tau, x):
     return out
 
 
+# ILP64 CBLAS constants: CblasColMajor, CblasNoTrans, CblasTrans.
+_COL_MAJOR, _NO_TRANS, _TRANS = 102, 111, 112
+_GEMM_PREFIX = {np.dtype(np.float32): "s", np.dtype(np.float64): "d",
+                np.dtype(np.complex64): "c", np.dtype(np.complex128): "z"}
+
+
+@functools.cache
+def _gemm_symbol(prefix):
+    """``scipy_cblas_<prefix>gemm64_`` from numpy's OpenBLAS, or None.
+
+    Opening numpy's extension module returns the handle the process already
+    holds, and symbol lookup through it searches the libraries it links,
+    so this finds the very OpenBLAS numpy's ``matmul`` uses.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+        fn = getattr(ctypes.CDLL(_multiarray_umath.__file__),
+                     f"scipy_cblas_{prefix}gemm64_")
+    except (ImportError, OSError, AttributeError):
+        return None
+    scalar = {"s": ctypes.c_float, "d": ctypes.c_double}.get(prefix, ctypes.c_void_p)
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    fn.argtypes = ([ctypes.c_int] * 3 + [i64] * 3
+                   + [scalar, ptr, i64, ptr, i64, scalar, ptr, i64])
+    fn.restype = None
+    return fn
+
+
+def _blas_layout(x):
+    """(transpose flag, leading dimension) of a 2-D view for column-major
+    BLAS: NoTrans when its rows are unit-strided, Trans when its columns
+    are; None otherwise (negative, zero or overlapping strides)."""
+    r, s = x.shape
+    sr, sc = (st // x.itemsize if st > 0 and st % x.itemsize == 0 else 0
+              for st in x.strides)
+    if sr == 1 and sc >= r:
+        return _NO_TRANS, sc
+    if sc == 1 and sr >= s:
+        return _TRANS, sr
+    return None
+
+
+def _gemm_into(c, a, b, alpha):
+    """C += alpha * A @ B in place with one BLAS ``?gemm`` (beta = 1).
+
+    C must have unit-strided rows; its column stride is the leading
+    dimension, so a view into a padded buffer is updated where it lies.  A
+    and B may each be F- or C-strided.  Returns False, with C untouched,
+    when BLAS cannot take the operands: a dtype other than float32,
+    float64, complex64 or complex128 shared by all three, a complex alpha
+    with real data, other strides, or no such symbol in numpy's OpenBLAS.
+    The call releases the GIL.
+    """
+    dt = c.dtype
+    if (dt not in _GEMM_PREFIX or a.dtype != dt or b.dtype != dt
+            or (dt.kind != "c" and np.iscomplexobj(alpha)) or not c.flags.writeable):
+        return False
+    (m, n), k = c.shape, a.shape[1]
+    if a.shape[0] != m or b.shape != (k, n):
+        raise ValueError("dimension mismatch")
+    if m == 0 or n == 0 or k == 0:
+        return True
+    lc, la, lb = _blas_layout(c), _blas_layout(a), _blas_layout(b)
+    fn = _gemm_symbol(_GEMM_PREFIX[dt])
+    if fn is None or lc is None or lc[0] != _NO_TRANS or la is None or lb is None:
+        return False
+    if dt.kind == "c":
+        scalars = np.array([alpha, 1], dtype=dt)
+        alpha_arg, beta_arg = scalars.ctypes.data, scalars.ctypes.data + dt.itemsize
+    else:
+        alpha_arg, beta_arg = float(alpha), 1.0
+    fn(_COL_MAJOR, la[0], lb[0], m, n, k, alpha_arg, a.ctypes.data, la[1],
+       b.ctypes.data, lb[1], beta_arg, c.ctypes.data, lc[1])
+    return True
+
+
 def _sweep(c, left, pack, alpha, beta, tril=True):
     """C := beta*C + alpha * left @ pack(jc, j1), one block column at a time.
 
     ``pack(jc, j1)`` returns the k x (j1 - jc) operand of block column
-    [jc, j1).  With ``tril`` only entries with row > col are written.
+    [jc, j1).  With ``tril`` only entries with row > col are written.  The
+    strip below the diagonal block is one in-place BLAS call when beta is 1
+    and the operands allow it, and ``NB``-row chunked matmuls otherwise.
     """
     p, q = c.shape
     for jc in range(0, q, NB):
@@ -125,6 +217,8 @@ def _sweep(c, left, pack, alpha, beta, tril=True):
         if tril:
             top = min(j1, p)
             _merge_lower_tile(c[jc:top, jc:j1], left[jc:top].dot(panel), alpha, beta)
+        if beta == 1 and _gemm_into(c[top:, jc:j1], left[top:], panel, alpha):
+            continue
         for ic in range(top, p, NB):
             i1 = min(ic + NB, p)
             _accum_tile(c[ic:i1, jc:j1], left[ic:i1].dot(panel), alpha, beta)

@@ -33,7 +33,13 @@ def _write_coordinate(path, qualifier, m, segments, transpose=False):
     column j from row i (0-based).  With ``transpose`` each entry is written
     at the mirrored coordinate (j, i).  Every segment is formatted with one
     join, so per-entry Python objects live only as long as their segment.
+    The files are ``real``, so complex values raise a ValueError before
+    anything is written.
     """
+    for _, _, values in segments:
+        if np.iscomplexobj(values):
+            raise ValueError(f"{path}: cannot write {values.dtype} entries to a real "
+                             "Matrix Market file")
     nnz = sum(int(np.count_nonzero(v)) for _, _, v in segments)
     with open(path, "w") as fh:
         fh.write(f"%%MatrixMarket matrix coordinate real {qualifier}\n{m} {m} {nnz}\n")

@@ -32,6 +32,14 @@ class TestSkewMatrixLower:
         x = random_skew(9, seed=2)
         assert np.isclose(x.norm(), np.linalg.norm(x.dense()))
 
+    @pytest.mark.filterwarnings("error")
+    def test_norm_complex(self):
+        # imaginary parts count; a cast to float would drop them with only a
+        # ComplexWarning
+        x = SkewMatrixLower(random_skew(6, seed=2).data * (1 + 1j))
+        assert np.isclose(x.norm(), np.linalg.norm(x.dense()))
+        assert np.isclose(x.norm(), np.sqrt(2) * random_skew(6, seed=2).norm())
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             SkewMatrixLower(np.zeros((3, 4)))

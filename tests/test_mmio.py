@@ -186,6 +186,27 @@ def test_write_format_exact(tmp_path):
     assert np.array_equal(scipy_io.mmread(path).toarray(), x.dense())
 
 
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_complex_entries_rejected(tmp_path, dtype):
+    # the files are real: writing only the real part would read back as a
+    # different matrix
+    x = SkewMatrixLower((random_skew(5, seed=7).data * (1 + 1j)).astype(dtype))
+    path = tmp_path / "c.mtx"
+    with pytest.raises(ValueError, match=np.dtype(dtype).name):
+        mm_write(path, x)
+    assert not path.exists()
+
+
+def test_exact_entries_written(tmp_path):
+    from fractions import Fraction
+    x = SkewMatrixLower.zeros(3, dtype=object)
+    x.data[1, 0], x.data[2, 0], x.data[2, 1] = Fraction(1, 4), 0, Fraction(-3)
+    path = tmp_path / "q.mtx"
+    mm_write(path, x)
+    assert path.read_text().splitlines()[1:] == ["3 3 2", "2 1 0.25", "3 2 -3.0"]
+    assert np.array_equal(mm_read(path).dense(), x.dense().astype(float))
+
+
 def test_factor_file_format_exact(tmp_path):
     # L column by column with its unit diagonal; the first column and the
     # stored entries below the subdiagonal slots, zeros dropped
