@@ -91,8 +91,9 @@ def _tridiag_solve(tau, rhs, tol_scale=10.0):
 def solve(x: SkewMatrixLower, b, block=None, tol_scale=10.0):
     """Solve X y = b through the pivoted factorization (fused scheme var2b):
     permute, unit-lower solve, pivoted tridiagonal solve, transposed
-    unit-lower solve, permute back.  b may carry multiple right-hand sides
-    as columns (solved together).  The result is complex when X or b is,
+    unit-lower solve, permute back.  b is a vector of length m or an m x k
+    array whose columns are right-hand sides (solved together); any other
+    shape raises ValueError.  The result is complex when X or b is,
     float64 otherwise.  Raises SingularT for (numerically) singular X,
     which includes every odd m.
     """
@@ -100,12 +101,12 @@ def solve(x: SkewMatrixLower, b, block=None, tol_scale=10.0):
 
     m = x.m
     b = np.asarray(b)
+    if b.ndim not in (1, 2) or b.shape[0] != m:
+        raise ValueError("dimension mismatch")
     dt = _solve_dtype(x.data, b)
     b = b.astype(dt, copy=False)
     one_d = b.ndim == 1
-    rhs = b.reshape(m, -1) if one_d else b
-    if rhs.shape[0] != m:
-        raise ValueError("dimension mismatch")
+    rhs = b[:, None] if one_d else b
     res = ltlt_blk_piv(x, b=block or min(DEFAULT_BLOCK, m), fused="var2b")
     perm = compose_permutation(res.p)
     z = rhs[perm]

@@ -2,17 +2,20 @@
 
 Kernels update numpy views in place, touch each stored output entry exactly
 once per call, and are dtype-agnostic (exact scalars flow through).  The
-Python layer is single-threaded: each kernel issues plain numpy calls, and
-any parallelism is the BLAS's own.  Callers must not alias a kernel's
-output with any of its inputs.
+Python layer is single-threaded: each kernel issues plain numpy calls (row
+pivots one BLAS ``?laswp``), and any parallelism is the BLAS's own.
+Callers must not alias a kernel's output with any of its inputs.
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 
 from . import instrument
 from .core import SkewTridiagonal
+from .kernels3 import _BLAS_PREFIX, _blas_symbol
 
 # Column-jam width for the rank-2 updates: each outer iteration emits the
 # fused updates for this many columns at once.
@@ -90,9 +93,12 @@ def tridiag_matvec(tau, x):
     k = len(x)
     if len(tau) != max(k - 1, 0):
         raise ValueError("dimension mismatch")
-    z = np.zeros(k, dtype=np.result_type(tau.dtype, x.dtype) if k else x.dtype)
+    same = not k or tau.dtype == x.dtype
+    z = np.empty(k, dtype=x.dtype if same else np.result_type(tau.dtype, x.dtype))
+    if k:
+        z[0] = 0
     if k > 1:
-        z[1:] = tau * x[:-1]
+        np.multiply(tau, x[:-1], out=z[1:])
         z[:-1] -= tau * x[1:]
     return z
 
@@ -131,17 +137,68 @@ def skew_tridiag_gemv(y, alpha, a, t: SkewTridiagonal, x, beta=1, fused=True,
         acc = a[tail_from:] @ z
     else:
         acc = a[tail_from:].dot(z)
-    if beta == 1:
+    if beta == 1 and alpha == -1:
+        y -= acc
+    elif beta == 1:
         y += alpha * acc
     else:
         y[:] = beta * y + alpha * acc
 
 
+def _laswp_symbol(prefix):
+    """Fortran ``scipy_<prefix>laswp_64_`` from numpy's OpenBLAS, or None.
+
+    Every argument goes by reference: n, a, lda, k1, k2, ipiv, incx, with
+    int64 integers and ``ipiv`` 1-based.
+    """
+    i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    return _blas_symbol(f"scipy_{prefix}laswp_64_", (i64, ptr, i64, i64, i64, ptr, i64))
+
+
+def _laswp(block, pivots, forward):
+    """Swap the rows of ``block`` in place with one BLAS ``?laswp`` call,
+    the swaps of ``pivots`` in order (or in reverse when not ``forward``).
+
+    The offsets must already be validated: BLAS checks no bounds.  Returns
+    False, with ``block`` untouched, when BLAS cannot take it: a dtype other
+    than float32, float64, complex64 or complex128, rows that are not
+    unit-strided, a column stride below the height, a read-only view, or no
+    such symbol in numpy's OpenBLAS.  The call releases the GIL.
+    """
+    dt = block.dtype
+    if dt not in _BLAS_PREFIX or not block.flags.writeable:
+        return False
+    n = block.shape[0]
+    q = block.shape[1] if block.ndim == 2 else 1
+    if block.strides[0] != dt.itemsize:
+        return False
+    ld = n
+    if q > 1:
+        ld, rem = divmod(block.strides[1], dt.itemsize)
+        if rem or ld < n:
+            return False
+    fn = _laswp_symbol(_BLAS_PREFIX[dt])
+    if fn is None:
+        return False
+    k2 = int(np.flatnonzero(pivots)[-1]) + 1
+    ipiv = np.arange(1, k2 + 1, dtype=np.int64)
+    ipiv += pivots[:k2]
+    def ref(v):
+        return ctypes.byref(ctypes.c_int64(v))
+
+    fn(ref(q), block.ctypes.data, ref(ld), ref(1), ref(k2), ipiv.ctypes.data,
+       ref(1 if forward else -1))
+    return True
+
+
 def apply_row_pivots(block, p, forward=True):
     """Permute the rows of ``block`` (1-D or 2-D) by P(p) (or its inverse).
 
-    The swap sequence is collapsed into a single gather of the rows that
-    change place, so each moved element is copied once.
+    The swaps run in place as one BLAS ``?laswp`` call, as LAPACK applies a
+    panel's interchanges to the columns left of it.  Blocks BLAS cannot take
+    (exact scalars, rows that are not unit-strided, read-only views) are
+    permuted by one gather of the rows that change place instead, so each
+    moved element is copied once.  Offsets are checked before any row moves.
     """
     n, q = block.shape if block.ndim == 2 else (block.shape[0], 1)
     pivots = p.pivots if hasattr(p, "pivots") else np.asarray(p)
@@ -152,15 +209,16 @@ def apply_row_pivots(block, p, forward=True):
             if j >= n or off < 0:
                 raise IndexError("pivot out of range")
             idx[k], idx[j] = idx[j], idx[k]
+    rows = np.flatnonzero(idx != np.arange(n))
+    instrument.record_call("apply_row_pivots")
+    instrument.add_flops("pivot", rows.size * q)
+    if not rows.size or not q or _laswp(block, pivots, forward):
+        return
     if not forward:
         inv = np.empty_like(idx)
         inv[idx] = np.arange(n)
         idx = inv
-    rows = np.flatnonzero(idx != np.arange(n))
-    instrument.record_call("apply_row_pivots")
-    instrument.add_flops("pivot", rows.size * q)
-    if rows.size and q:
-        block[rows] = block[idx[rows]]
+    block[rows] = block[idx[rows]]
 
 
 def trapezoid_rank2(buf, start, climit, alpha, x, y, fused=True):

@@ -17,7 +17,9 @@ The BLAS is the OpenBLAS numpy itself has loaded for ``matmul``
 ``numpy/.dylibs`` on macOS), reached through ctypes, so it adds no library
 to the process and follows the same ``OPENBLAS_NUM_THREADS``.  scipy's
 ``cython_blas`` would load scipy's separate copy of OpenBLAS, and its f2py
-``dgemm`` copies any view whose leading dimension is not its height.
+``dgemm`` copies any view whose leading dimension is not its height.  The
+same cached lookup (``_blas_symbol``) also serves ``?laswp``, with which
+``kernels2.apply_row_pivots`` swaps rows in place.
 """
 
 from __future__ import annotations
@@ -125,13 +127,15 @@ def _pack_t(tau, x):
 
 # ILP64 CBLAS constants: CblasColMajor, CblasNoTrans, CblasTrans.
 _COL_MAJOR, _NO_TRANS, _TRANS = 102, 111, 112
-_GEMM_PREFIX = {np.dtype(np.float32): "s", np.dtype(np.float64): "d",
+# BLAS letter of each dtype numpy's OpenBLAS takes.
+_BLAS_PREFIX = {np.dtype(np.float32): "s", np.dtype(np.float64): "d",
                 np.dtype(np.complex64): "c", np.dtype(np.complex128): "z"}
 
 
 @functools.cache
-def _gemm_symbol(prefix):
-    """``scipy_cblas_<prefix>gemm64_`` from numpy's OpenBLAS, or None.
+def _blas_symbol(name, argtypes):
+    """Function ``name`` of numpy's OpenBLAS with the given ctypes
+    ``argtypes`` (returning nothing), or None.
 
     Opening numpy's extension module returns the handle the process already
     holds, and symbol lookup through it searches the libraries it links,
@@ -139,16 +143,21 @@ def _gemm_symbol(prefix):
     """
     try:
         from numpy._core import _multiarray_umath
-        fn = getattr(ctypes.CDLL(_multiarray_umath.__file__),
-                     f"scipy_cblas_{prefix}gemm64_")
+        fn = getattr(ctypes.CDLL(_multiarray_umath.__file__), name)
     except (ImportError, OSError, AttributeError):
         return None
-    scalar = {"s": ctypes.c_float, "d": ctypes.c_double}.get(prefix, ctypes.c_void_p)
-    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    fn.argtypes = ([ctypes.c_int] * 3 + [i64] * 3
-                   + [scalar, ptr, i64, ptr, i64, scalar, ptr, i64])
+    fn.argtypes = argtypes
     fn.restype = None
     return fn
+
+
+def _gemm_symbol(prefix):
+    """``scipy_cblas_<prefix>gemm64_`` from numpy's OpenBLAS, or None."""
+    scalar = {"s": ctypes.c_float, "d": ctypes.c_double}.get(prefix, ctypes.c_void_p)
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    return _blas_symbol(f"scipy_cblas_{prefix}gemm64_",
+                        (ctypes.c_int,) * 3 + (i64,) * 3
+                        + (scalar, ptr, i64, ptr, i64, scalar, ptr, i64))
 
 
 def _blas_layout(x):
@@ -177,7 +186,7 @@ def _gemm_into(c, a, b, alpha):
     The call releases the GIL.
     """
     dt = c.dtype
-    if (dt not in _GEMM_PREFIX or a.dtype != dt or b.dtype != dt
+    if (dt not in _BLAS_PREFIX or a.dtype != dt or b.dtype != dt
             or (dt.kind != "c" and np.iscomplexobj(alpha)) or not c.flags.writeable):
         return False
     (m, n), k = c.shape, a.shape[1]
@@ -186,7 +195,7 @@ def _gemm_into(c, a, b, alpha):
     if m == 0 or n == 0 or k == 0:
         return True
     lc, la, lb = _blas_layout(c), _blas_layout(a), _blas_layout(b)
-    fn = _gemm_symbol(_GEMM_PREFIX[dt])
+    fn = _gemm_symbol(_BLAS_PREFIX[dt])
     if fn is None or lc is None or lc[0] != _NO_TRANS or la is None or lb is None:
         return False
     if dt.kind == "c":

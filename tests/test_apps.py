@@ -141,6 +141,15 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(random_skew(4, seed=0), np.ones(5))
 
+    def test_vector_of_multiple_length_rejected(self):
+        # a length-2m vector must not be read as two interleaved columns
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            solve(random_skew(6, seed=0), np.arange(12.0))
+
+    def test_three_dimensional_rhs_rejected(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            solve(random_skew(6, seed=0), np.ones((6, 2, 2)))
+
 
 class TestTridiagSolve:
     def test_small_against_dense(self):

@@ -9,7 +9,8 @@ from skewltl import (PermutationVector, SkewMatrixLower, SkewTridiagonal,
                      apply_symmetric_pivot, compose_permutation,
                      form_s_splitting, ltlt_unb_rl, pack_in_place,
                      random_skew, reconstruct, unpack_in_place)
-from skewltl.core import UnitLowerFactor, invert_permutation
+from skewltl import ltlt_blk_piv, ltlt_unb_ll
+from skewltl.core import UnitLowerFactor, _sym_swap_lower, invert_permutation
 
 from helpers import worked_example
 
@@ -131,6 +132,36 @@ class TestSymmetricPivot:
         x = random_skew(4, seed=0)
         with pytest.raises(IndexError):
             apply_symmetric_pivot(x, 2, 2)
+
+
+class TestSymSwapStrides:
+    """``_sym_swap_lower`` at row strides of 8 float64 or 4 float32 items.
+
+    numpy 2.4.6's ``np.negative(v, out=w)`` returns wrong values when both
+    views have that stride (it reads v as if contiguous), so a swap whose
+    sign flips negate a row in place through it fails here."""
+
+    @pytest.mark.parametrize("dtype,m", [(np.float64, 8), (np.float32, 4)])
+    def test_every_pair_against_dense(self, dtype, m):
+        base = random_skew(m, seed=31).data.astype(dtype, order="F")
+        for a in range(m):
+            for b in range(a + 1, m):
+                buf = base.copy(order="F")
+                _sym_swap_lower(buf, a, b)
+                perm = np.arange(m)
+                perm[a], perm[b] = b, a
+                want = SkewMatrixLower(base).dense()[np.ix_(perm, perm)]
+                assert np.array_equal(SkewMatrixLower(buf).dense(), want), (a, b)
+
+    @pytest.mark.parametrize("factor", [
+        lambda x: ltlt_blk_piv(x, b=3, fused="var2b"),
+        lambda x: ltlt_unb_ll(x, pivot=True)])
+    def test_pivoted_drivers_at_m8(self, factor):
+        x = random_skew(8, seed=32)
+        res = factor(x.copy())
+        assert res.p.nontrivial
+        rec = reconstruct(res.l, res.t, res.p).dense()
+        assert np.allclose(rec, x.dense(), rtol=1e-13, atol=1e-13)
 
 
 class TestPermutation:

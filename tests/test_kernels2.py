@@ -5,7 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from skewltl import PermutationVector, SkewTridiagonal
+from skewltl import (PermutationVector, SkewMatrixLower, SkewTridiagonal,
+                     ltlt_blk_piv, random_skew)
+from skewltl import kernels2
 from skewltl.kernels2 import (apply_row_pivots, gen_rank2,
                               skew_rank2, skew_tridiag_gemv, trapezoid_rank2,
                               tridiag_matvec)
@@ -214,6 +216,132 @@ class TestApplyRowPivots:
         b = np.array([1.0, 2.0, 3.0])
         apply_row_pivots(b, np.array([1]))
         assert b.tolist() == [2.0, 1.0, 3.0]
+
+
+BLAS_DTYPES = [np.float32, np.float64, np.complex64, np.complex128]
+
+
+def random_of(dtype, shape, rng):
+    x = rng.standard_normal(shape)
+    if np.dtype(dtype).kind == "c":
+        x = x + 1j * rng.standard_normal(shape)
+    return x.astype(dtype)
+
+
+def random_offsets(rng, n, k=None):
+    return np.array([int(rng.integers(0, n - i)) for i in range(n if k is None else k)])
+
+
+def gathered(block, pivots, forward, monkeypatch):
+    """apply_row_pivots with the ?laswp lookup patched away (the gather)."""
+    with monkeypatch.context() as mp:
+        mp.setattr(kernels2, "_laswp_symbol", lambda prefix: None)
+        apply_row_pivots(block, pivots, forward)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLaswp:
+    """Row interchanges in place through numpy's OpenBLAS ``?laswp``."""
+
+    @pytest.mark.parametrize("dtype", BLAS_DTYPES)
+    def test_fast_path_active(self, dtype):
+        rng = np.random.Generator(np.random.Philox(40))
+        b = np.asfortranarray(random_of(dtype, (7, 3), rng))
+        want = b.copy()
+        pivots = np.array([3, 0, 4, 1])
+        for k, off in enumerate(pivots):
+            want[[k, k + off]] = want[[k + off, k]]
+        assert kernels2._laswp_symbol(kernels2._BLAS_PREFIX[np.dtype(dtype)]) is not None
+        assert kernels2._laswp(b, pivots, True)
+        assert np.array_equal(b, want)
+
+    @pytest.mark.parametrize("dtype", BLAS_DTYPES)
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_padded_view_matches_gather(self, dtype, forward, monkeypatch):
+        # the drivers' call: work[base + 1:, :lo] of a buffer whose leading
+        # dimension exceeds its height; NaN sentinels fill everything else
+        rng = np.random.Generator(np.random.Philox(41))
+        m, ld, base, lo = 40, 48, 9, 7
+        work = np.full((ld, m), np.nan, dtype=dtype, order="F")
+        work[:m] = random_of(dtype, (m, m), rng)
+        pivots = random_offsets(rng, m - base - 1, 12)
+        fast, slow = work.copy(order="F"), work.copy(order="F")
+        apply_row_pivots(fast[base + 1:m, :lo], pivots, forward)
+        gathered(slow[base + 1:m, :lo], pivots, forward, monkeypatch)
+        assert same_bits(fast, slow)
+        assert not np.array_equal(fast[:m, :lo], work[:m, :lo])
+        assert np.isnan(fast[m:]).all()
+        assert same_bits(fast[:, lo:], work[:, lo:])
+        assert same_bits(fast[:base + 1], work[:base + 1])
+
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_vector_block_matches_gather(self, forward, monkeypatch):
+        rng = np.random.Generator(np.random.Philox(42))
+        v = rng.standard_normal(30)
+        pivots = random_offsets(rng, 30, 29)
+        fast, slow = v.copy(), v.copy()
+        apply_row_pivots(fast, pivots, forward)
+        gathered(slow, pivots, forward, monkeypatch)
+        assert same_bits(fast, slow)
+        assert kernels2._laswp(v.copy(), pivots, forward)
+
+    def test_trailing_zero_offsets(self, monkeypatch):
+        # a pivot vector longer than the block is legal when its tail is zero
+        rng = np.random.Generator(np.random.Philox(43))
+        b = np.asfortranarray(rng.standard_normal((6, 3)))
+        pivots = np.array([2, 0, 3, 1, 0, 0, 0, 0, 0])
+        fast, slow = b.copy(order="F"), b.copy(order="F")
+        apply_row_pivots(fast, pivots)
+        gathered(slow, pivots, True, monkeypatch)
+        assert same_bits(fast, slow)
+        assert not np.array_equal(fast, b)
+
+    def test_out_of_range_leaves_block(self):
+        b = np.asfortranarray(np.arange(12.0).reshape(4, 3))
+        before = b.copy()
+        with pytest.raises(IndexError):
+            apply_row_pivots(b, np.array([1, 2, 0, 1]))
+        assert same_bits(b, before)
+
+    def test_fallbacks_take_the_gather(self):
+        pivots = np.array([2, 1, 0])
+        base = np.arange(12.0).reshape(4, 3)
+        want = base[[2, 0, 1, 3]]
+        exact = np.array([[Fraction(int(v))] for v in base[:, 0]], dtype=object)
+        assert not kernels2._laswp(exact, pivots, True)
+        apply_row_pivots(exact, pivots)
+        assert exact[:, 0].tolist() == want[:, 0].tolist()
+        c_order = base.copy()
+        assert not kernels2._laswp(c_order, pivots, True)
+        apply_row_pivots(c_order, pivots)
+        assert np.array_equal(c_order, want)
+        frozen = np.asfortranarray(base)
+        frozen.flags.writeable = False
+        assert not kernels2._laswp(frozen, pivots, True)
+        with pytest.raises(ValueError):
+            apply_row_pivots(frozen, pivots)
+        assert np.array_equal(frozen, base)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex128])
+    @pytest.mark.parametrize("fused", ["var1", "var2a", "var2b"])
+    def test_drivers_match_gather(self, dtype, fused, monkeypatch):
+        m = 517
+        data = random_skew(m, seed=44).data
+        if np.dtype(dtype).kind == "c":
+            data = data + 1j * random_skew(m, seed=45).data
+        x = SkewMatrixLower(np.asfortranarray(data.astype(dtype)))
+        fast = ltlt_blk_piv(x.copy(), b=128, fused=fused)
+        with monkeypatch.context() as mp:
+            mp.setattr(kernels2, "_laswp_symbol", lambda prefix: None)
+            slow = ltlt_blk_piv(x.copy(), b=128, fused=fused)
+        assert fast.p.nontrivial
+        assert same_bits(fast.p.pivots, slow.p.pivots)
+        assert same_bits(fast.t.tau, slow.t.tau)
+        assert same_bits(fast.l.data, slow.l.data)
+        assert fast.flops == slow.flops
 
 
 def test_level2_oracle_equivalence_100_instances():
