@@ -23,7 +23,7 @@ def pfaffian(x: SkewMatrixLower, b=None):
         return 1.0
     if m % 2:
         return 0.0 if x.data.dtype != object else 0
-    res = ltlt_blk_piv(x, b=b or min(DEFAULT_BLOCK, m), fused="var2b")
+    res = ltlt_blk_piv(x, b=min(DEFAULT_BLOCK, m) if b is None else b, fused="var2b")
     tau = res.t.tau
     if tau.dtype != object:
         with np.errstate(divide="ignore"):
@@ -94,8 +94,8 @@ def solve(x: SkewMatrixLower, b, block=None, tol_scale=10.0):
     unit-lower solve, permute back.  b is a vector of length m or an m x k
     array whose columns are right-hand sides (solved together); any other
     shape raises ValueError.  The result is complex when X or b is,
-    float64 otherwise.  Raises SingularT for (numerically) singular X,
-    which includes every odd m.
+    float64 otherwise; m = 0 gives an empty result of b's shape.  Raises
+    SingularT for (numerically) singular X, which includes every odd m.
     """
     from scipy.linalg import solve_triangular
 
@@ -105,9 +105,12 @@ def solve(x: SkewMatrixLower, b, block=None, tol_scale=10.0):
         raise ValueError("dimension mismatch")
     dt = _solve_dtype(x.data, b)
     b = b.astype(dt, copy=False)
+    if m == 0:
+        return np.empty_like(b)
     one_d = b.ndim == 1
     rhs = b[:, None] if one_d else b
-    res = ltlt_blk_piv(x, b=block or min(DEFAULT_BLOCK, m), fused="var2b")
+    res = ltlt_blk_piv(x, b=min(DEFAULT_BLOCK, m) if block is None else block,
+                       fused="var2b")
     perm = compose_permutation(res.p)
     z = rhs[perm]
     ldense = res.l.dense().astype(dt, copy=False)

@@ -6,10 +6,12 @@ transform.  The fused Variants 2a/2b eliminate that straggler: 2a delays
 the last transform and folds it into the next iteration's sandwich, 2b has
 each panel compute one extra column of L and T so its sandwich already
 covers a full set of couplings (the same state shifted one column).  The
-left-looking driver pulls all prior couplings into the panel block from
-the left instead of updating the trailing matrix, and the two-step driver
-realizes the 2a sandwich as W = A S plus a skew rank-2k whose zero columns
-are skipped.
+two-step driver realizes the 2a sandwich as W = A S plus a skew rank-2k
+whose zero columns are skipped.  These right-looking drivers, pivoted or
+not, run one shared block loop; the schedule table ``_SCHEDULES`` is the
+one place they differ.  The left-looking driver keeps its own loop: it
+pulls all prior couplings into the panel block from the left instead of
+updating the trailing matrix.
 
 Pivoted factorization exists for the right-looking family only; its panel
 factorization is forced to left-looking because pivoting can pull in
@@ -80,16 +82,18 @@ def _require_external_t(f, who):
         raise InvalidVariant(f"{who} needs tau in an external vector (external_t)")
 
 
-def _run_panel(work, tau, base, nelim, variant, f, carry):
-    """Unpivoted panel of [base, base + nelim); ``carry`` folds in the
-    delayed transform of the previous block."""
+def _run_panel(work, tau, base, nelim, variant, f, carry, pivots=None):
+    """Panel of [base, base + nelim); ``carry`` folds in the delayed
+    transform of the previous block.  With ``pivots`` the panel is the
+    pivoted left-looking pass, and its row swaps then reach the older L
+    columns in one blocked pass."""
     climit = base + nelim
     lo = base - 1 if carry else base
     kw = dict(fused_l2=f.fused_l2, external_t=f.external_t)
     with instrument.scope("panel"):
         if variant == "ll":
-            _panel_ll(work, tau, base, nelim, lo, fused_l3=f.fused_l3,
-                      width=PANEL_NB, **kw)
+            _panel_ll(work, tau, base, nelim, lo, pivot=pivots is not None,
+                      pivots=pivots, fused_l3=f.fused_l3, width=PANEL_NB, **kw)
         elif variant == "rl":
             if carry:
                 _apply_pending(work, base, climit, fused_l2=f.fused_l2)
@@ -100,6 +104,10 @@ def _run_panel(work, tau, base, nelim, variant, f, carry):
             _panel_twostep(work, tau, base, nelim, climit, **kw)
         else:
             raise InvalidVariant(f"unknown panel variant {variant!r}")
+    if pivots is not None and lo > 0:
+        sub = pivots[base + 1: base + nelim + 1]
+        if np.any(sub):
+            apply_row_pivots(work[base + 1:, :lo], sub, forward=True)
 
 
 def _apply_couplings(work, tau, c0, c1, region, f, rank2k=False):
@@ -156,29 +164,68 @@ def _split_trailing(work, tau, r, rt, f):
                                SkewTridiagonal(tau[r + 1:rt]), 1, fused=f.fused_l3)
 
 
+@dataclass(frozen=True)
+class _Schedule:
+    """How one right-looking driver's iterations differ from the others'."""
+
+    name: str          # driver name in error messages
+    extra_first: bool  # the first panel eliminates b + 1 columns (2b)
+    carry: bool        # each panel's last transform joins the next sandwich
+    straggler: bool    # trailing rank-2 of each panel's last transform (var1)
+    rank2k: bool       # sandwich as W = A S plus a skew rank-2k (two-step)
+
+
+#: The one place the right-looking drivers differ; pivoting is the
+#: ``pivot`` argument of the shared loop.
+_SCHEDULES = {
+    "var1": _Schedule("blk-var1", extra_first=False, carry=False, straggler=True,
+                      rank2k=False),
+    "var2a": _Schedule("blk-var2a", extra_first=False, carry=True, straggler=False,
+                       rank2k=False),
+    "var2b": _Schedule("blk-var2b", extra_first=True, carry=True, straggler=False,
+                       rank2k=False),
+    "twostep": _Schedule("blk-2step", extra_first=False, carry=True, straggler=False,
+                         rank2k=True),
+}
+
+
+def _right_looking(x, b, scheme, panel_variant, features, pivot):
+    """The right-looking block loop: factor a panel, then apply one
+    sandwiched trailing update, as ``_SCHEDULES[scheme]`` directs."""
+    if pivot and scheme not in PIVOTED_FUSED:
+        raise InvalidVariant(f"fused must be one of {PIVOTED_FUSED}, got {scheme!r}")
+    s = _SCHEDULES[scheme]
+    _check_block(b)
+    f = features or Features()
+    if s.carry:
+        _require_external_t(f, ("pivoted " if pivot else "") + s.name)
+    work, tau = _workbuf(x)
+    m = x.m
+    pivots = np.zeros(m, dtype=np.int64) if pivot else None
+    fc = FlopCounter()
+    with counting(fc):
+        r = 0
+        while r < m - 1:
+            carry = s.carry and r > 0
+            be = min(b + 1 if s.extra_first and r == 0 else b, m - 1 - r)
+            _run_panel(work, tau, r, be, panel_variant, f, carry, pivots)
+            rt = r + be
+            if f.external_t:
+                _apply_couplings(work, tau, r if carry else r + 1, rt, rt, f, s.rank2k)
+            else:
+                _split_trailing(work, tau, r, rt, f)
+            if s.straggler:
+                _straggler(work, tau, rt)
+            r = rt
+    return _finalize(work, tau, pivots, m, fc, external_t=f.external_t)
+
+
 def ltlt_blk_var1(x: SkewMatrixLower, b=DEFAULT_BLOCK, panel_variant="ll",
                   features=None) -> FactorizationResult:
     """Blocked right-looking factorization (Variant 1): panel, sandwiched
     rank-k trailing update, straggler rank-2.  Block size 1 reproduces the
     unblocked right-looking driver."""
-    _check_block(b)
-    f = features or Features()
-    work, tau = _workbuf(x)
-    m = x.m
-    fc = FlopCounter()
-    with counting(fc):
-        r = 0
-        while r < m - 1:
-            be = min(b, m - 1 - r)
-            _run_panel(work, tau, r, be, panel_variant, f, carry=False)
-            rt = r + be
-            if f.external_t:
-                _apply_couplings(work, tau, r + 1, rt, rt, f)
-            else:
-                _split_trailing(work, tau, r, rt, f)
-            _straggler(work, tau, rt)
-            r = rt
-    return _finalize(work, tau, None, m, fc, external_t=f.external_t)
+    return _right_looking(x, b, "var1", panel_variant, features, pivot=False)
 
 
 def ltlt_blk_var2a(x: SkewMatrixLower, b=DEFAULT_BLOCK, panel_variant="ll",
@@ -186,23 +233,7 @@ def ltlt_blk_var2a(x: SkewMatrixLower, b=DEFAULT_BLOCK, panel_variant="ll",
     """Fused blocked right-looking (Variant 2a): the last transform of each
     panel stays unapplied and rides along in the next iteration's sandwich,
     so no trailing rank-2 is ever issued."""
-    _check_block(b)
-    f = features or Features()
-    _require_external_t(f, "blk-var2a")
-    work, tau = _workbuf(x)
-    m = x.m
-    fc = FlopCounter()
-    with counting(fc):
-        r = 0
-        pending = False
-        while r < m - 1:
-            be = min(b, m - 1 - r)
-            _run_panel(work, tau, r, be, panel_variant, f, carry=pending)
-            rt = r + be
-            _apply_couplings(work, tau, r if pending else r + 1, rt, rt, f)
-            pending = True
-            r = rt
-    return _finalize(work, tau, None, m, fc)
+    return _right_looking(x, b, "var2a", panel_variant, features, pivot=False)
 
 
 def ltlt_blk_var2b(x: SkewMatrixLower, b=DEFAULT_BLOCK, panel_variant="ll",
@@ -211,23 +242,7 @@ def ltlt_blk_var2b(x: SkewMatrixLower, b=DEFAULT_BLOCK, panel_variant="ll",
     extra column of L and T (the first panel eliminates b+1 columns), so
     every sandwich covers a complete set of couplings; the state matches
     Variant 2a shifted by one column."""
-    _check_block(b)
-    f = features or Features()
-    _require_external_t(f, "blk-var2b")
-    work, tau = _workbuf(x)
-    m = x.m
-    fc = FlopCounter()
-    with counting(fc):
-        done = 0
-        first = True
-        while done < m - 1:
-            nelim = min(b + (1 if first else 0), m - 1 - done)
-            _run_panel(work, tau, done, nelim, panel_variant, f, carry=not first)
-            new = done + nelim
-            _apply_couplings(work, tau, 1 if first else done, new, new, f)
-            done = new
-            first = False
-    return _finalize(work, tau, None, m, fc)
+    return _right_looking(x, b, "var2b", panel_variant, features, pivot=False)
 
 
 def ltlt_blk_left(x: SkewMatrixLower, b=DEFAULT_BLOCK, pivot=False,
@@ -268,32 +283,7 @@ def ltlt_blk_twostep(x: SkewMatrixLower, b=DEFAULT_BLOCK, panel_variant="ll",
     realized as W = A S plus a skew rank-2k update with k = floor(b/2)
     effective columns; with b = 2 each block update is a single rank-2
     pair.  Unpivoted only; the pivoted path uses the var2* drivers."""
-    _check_block(b)
-    f = features or Features()
-    _require_external_t(f, "blk-2step")
-    work, tau = _workbuf(x)
-    m = x.m
-    fc = FlopCounter()
-    with counting(fc):
-        r = 0
-        pending = False
-        while r < m - 1:
-            be = min(b, m - 1 - r)
-            _run_panel(work, tau, r, be, panel_variant, f, carry=pending)
-            rt = r + be
-            _apply_couplings(work, tau, r if pending else r + 1, rt, rt, f, rank2k=True)
-            pending = True
-            r = rt
-    return _finalize(work, tau, None, m, fc)
-
-
-def _block_pivots(work, pivots, base, nelim, lo):
-    """Row-swap the L columns left of the panel's immediate-swap region."""
-    if lo <= 0 or nelim == 0:
-        return
-    sub = pivots[base + 1: base + nelim + 1]
-    if np.any(sub):
-        apply_row_pivots(work[base + 1:, :lo], sub, forward=True)
+    return _right_looking(x, b, "twostep", panel_variant, features, pivot=False)
 
 
 def ltlt_blk_piv(x: SkewMatrixLower, b=DEFAULT_BLOCK, fused="var1",
@@ -307,52 +297,4 @@ def ltlt_blk_piv(x: SkewMatrixLower, b=DEFAULT_BLOCK, fused="var1",
     ``fused`` picks the trailing-update scheme (var1 straggler, or the 2a /
     2b fused sandwiches).  The first pivot is never computed: it is zero.
     """
-    if fused not in PIVOTED_FUSED:
-        raise InvalidVariant(f"fused must be one of {PIVOTED_FUSED}, got {fused!r}")
-    _check_block(b)
-    f = features or Features()
-    if fused != "var1":
-        _require_external_t(f, f"pivoted blk-{fused}")
-    work, tau = _workbuf(x)
-    m = x.m
-    pivots = np.zeros(m, dtype=np.int64)
-    fc = FlopCounter()
-    with counting(fc):
-        if fused == "var2b":
-            done = 0
-            first = True
-            while done < m - 1:
-                nelim = min(b + (1 if first else 0), m - 1 - done)
-                lo = 0 if first else done - 1
-                with instrument.scope("panel"):
-                    _panel_ll(work, tau, done, nelim, lo, pivot=True,
-                              pivots=pivots, swap_from=lo, fused_l2=f.fused_l2)
-                _block_pivots(work, pivots, done, nelim, lo)
-                new = done + nelim
-                _apply_couplings(work, tau, 1 if first else done, new, new, f)
-                done = new
-                first = False
-        else:
-            r = 0
-            pending = False
-            while r < m - 1:
-                be = min(b, m - 1 - r)
-                carry = fused == "var2a" and pending
-                lo = r - 1 if carry else r
-                with instrument.scope("panel"):
-                    _panel_ll(work, tau, r, be, lo, pivot=True, pivots=pivots,
-                              swap_from=lo, fused_l2=f.fused_l2,
-                              external_t=f.external_t)
-                _block_pivots(work, pivots, r, be, lo)
-                rt = r + be
-                if fused == "var1":
-                    if f.external_t:
-                        _apply_couplings(work, tau, r + 1, rt, rt, f)
-                    else:
-                        _split_trailing(work, tau, r, rt, f)
-                    _straggler(work, tau, rt)
-                else:
-                    _apply_couplings(work, tau, r if pending else r + 1, rt, rt, f)
-                pending = True
-                r = rt
-    return _finalize(work, tau, pivots, m, fc, external_t=f.external_t)
+    return _right_looking(x, b, fused, "ll", features, pivot=True)

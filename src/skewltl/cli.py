@@ -29,9 +29,6 @@ from .core import (InvalidVariant, PivotUnsupported, SkewMatrixLower,
 from .mmio import _write_coordinate, mm_read, mm_write
 from .unblocked import (ltlt_unb_ll, ltlt_unb_rl, ltlt_unb_twostep)
 
-VARIANT_NAMES = ("unb-rl", "unb-ll", "unb-2step", "blk-var1", "blk-var2a",
-                 "blk-var2b", "blk-left", "blk-2step")
-
 WORKED_EXAMPLE = (2.0, 1.0, 3.0, 4.0, 1.0, 5.0)
 
 
@@ -42,33 +39,43 @@ def worked_example_matrix():
     return x
 
 
+def _unblocked(driver):
+    return lambda x, b, pivot, f: driver(x, pivot=pivot)
+
+
+def _pivotable(driver, fused):
+    """``driver`` unpivoted, ``ltlt_blk_piv`` with scheme ``fused`` pivoted.
+    ``ltlt_blk_piv`` is looked up here when called, so a wrapper installed
+    on ``cli.ltlt_blk_piv`` sees the call."""
+    return lambda x, b, pivot, f: (ltlt_blk_piv(x, b=b, fused=fused, features=f)
+                                   if pivot else driver(x, b=b, features=f))
+
+
+def _blk_2step(x, b, pivot, f):
+    if pivot:
+        raise PivotUnsupported("blk-2step has no pivoted path; use blk-var2a/blk-var2b")
+    return ltlt_blk_twostep(x, b=b, features=f)
+
+
+#: CLI variant name -> f(x, block, pivot, features)
+_DRIVERS = {
+    "unb-rl": _unblocked(ltlt_unb_rl),
+    "unb-ll": _unblocked(ltlt_unb_ll),
+    "unb-2step": _unblocked(ltlt_unb_twostep),
+    "blk-var1": _pivotable(ltlt_blk_var1, "var1"),
+    "blk-var2a": _pivotable(ltlt_blk_var2a, "var2a"),
+    "blk-var2b": _pivotable(ltlt_blk_var2b, "var2b"),
+    "blk-left": lambda x, b, pivot, f: ltlt_blk_left(x, b=b, pivot=pivot, features=f),
+    "blk-2step": _blk_2step,
+}
+VARIANT_NAMES = tuple(_DRIVERS)
+
+
 def run_variant(name, x, block=DEFAULT_BLOCK, pivot=False, features=None):
     """Dispatch a factorization by CLI variant name."""
-    if name == "unb-rl":
-        return ltlt_unb_rl(x, pivot=pivot)
-    if name == "unb-ll":
-        return ltlt_unb_ll(x, pivot=pivot)
-    if name == "unb-2step":
-        return ltlt_unb_twostep(x, pivot=pivot)
-    if name == "blk-var1":
-        if pivot:
-            return ltlt_blk_piv(x, b=block, fused="var1", features=features)
-        return ltlt_blk_var1(x, b=block, features=features)
-    if name == "blk-var2a":
-        if pivot:
-            return ltlt_blk_piv(x, b=block, fused="var2a", features=features)
-        return ltlt_blk_var2a(x, b=block, features=features)
-    if name == "blk-var2b":
-        if pivot:
-            return ltlt_blk_piv(x, b=block, fused="var2b", features=features)
-        return ltlt_blk_var2b(x, b=block, features=features)
-    if name == "blk-left":
-        return ltlt_blk_left(x, b=block, pivot=pivot, features=features)
-    if name == "blk-2step":
-        if pivot:
-            raise PivotUnsupported("blk-2step has no pivoted path; use blk-var2a/blk-var2b")
-        return ltlt_blk_twostep(x, b=block, features=features)
-    raise InvalidVariant(f"unknown variant {name!r}; choose from {VARIANT_NAMES}")
+    if name not in _DRIVERS:
+        raise InvalidVariant(f"unknown variant {name!r}; choose from {VARIANT_NAMES}")
+    return _DRIVERS[name](x, block, pivot, features)
 
 
 def residual_norm(x, result):
@@ -104,7 +111,14 @@ def _write_factor_files(prefix, result):
     np.savetxt(prefix + ".p.txt", result.p.pivots, fmt="%d")
 
 
+def _fail(message):
+    print(f"error: {message}", file=sys.stderr)
+    return 1
+
+
 def cmd_factor(args):
+    if args.block < 1:
+        return _fail(f"--block must be >= 1, got {args.block}")
     if args.preset:
         if args.preset != "worked-example":
             print(f"unknown preset {args.preset!r}", file=sys.stderr)
@@ -114,24 +128,20 @@ def cmd_factor(args):
         try:
             x = mm_read(args.infile)
         except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            return _fail(exc)
+    elif args.size < 1:
+        return _fail(f"--size must be >= 1, got {args.size}")
     else:
         x = random_skew(args.size, seed=args.seed)
     try:
         result = run_variant(args.variant, x, block=args.block, pivot=args.pivot)
     except ZeroPivot as exc:
-        print(f"error: breakdown, zero pivot in column {exc.column}; rerun with --pivot",
-              file=sys.stderr)
-        return 1
+        return _fail(f"breakdown, zero pivot in column {exc.column}; rerun with --pivot")
     except (PivotUnsupported, InvalidVariant) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc)
     res = residual_norm(x, result)
     if not math.isfinite(res):
-        print(f"error: non-finite residual ({res}); the factorization overflowed",
-              file=sys.stderr)
-        return 1
+        return _fail(f"non-finite residual ({res}); the factorization overflowed")
     if x.m <= 8:
         taus = ", ".join(f"{v:g}" for v in result.t.tau)
         print(f"tau = {taus}")
@@ -166,33 +176,31 @@ def cmd_bench(args):
     variants = args.variant.split(",")
     for v in variants:
         if v not in VARIANT_NAMES:
-            print(f"error: unknown variant {v!r}", file=sys.stderr)
-            return 1
+            return _fail(f"unknown variant {v!r}")
     if not sizes or min(sizes) < 2 or min(blocks) < 1:
-        print("error: invalid sweep", file=sys.stderr)
-        return 1
+        return _fail("invalid sweep")
+    if args.reps < 1:
+        return _fail(f"--reps must be >= 1, got {args.reps}")
+    # (CSV label, variant, features) per configuration
+    if args.opt_ladder:
+        configs = []
+        for step, feats in LADDER.items():
+            if args.pivot and not feats.external_t:
+                feats = replace(feats, external_t=True)
+            configs.append((f"{LADDER_VARIANT[step]}+{step}", LADDER_VARIANT[step], feats))
+    else:
+        configs = [(v, v, None) for v in variants]
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         out.write(f"# seed={args.seed}\n")
         out.write("variant,m,block,threads,pivot,seconds,gflops,flops_l2,flops_l3\n")
         for m in sizes:
-            if args.opt_ladder:
-                for step, feats in LADDER.items():
-                    variant = LADDER_VARIANT[step]
-                    if args.pivot and not feats.external_t:
-                        feats = replace(feats, external_t=True)
-                    for b in blocks:
-                        sec, gf, l2, l3 = _bench_one(variant, m, b, args.pivot,
-                                                     args.seed, args.reps, feats)
-                        out.write(f"{variant}+{step},{m},{b},{args.threads},"
-                                  f"{int(args.pivot)},{sec:.6f},{gf:.3f},{l2},{l3}\n")
-            else:
-                for variant in variants:
-                    for b in blocks:
-                        sec, gf, l2, l3 = _bench_one(variant, m, b, args.pivot,
-                                                     args.seed, args.reps)
-                        out.write(f"{variant},{m},{b},{args.threads},"
-                                  f"{int(args.pivot)},{sec:.6f},{gf:.3f},{l2},{l3}\n")
+            for label, variant, feats in configs:
+                for b in blocks:
+                    sec, gf, l2, l3 = _bench_one(variant, m, b, args.pivot,
+                                                 args.seed, args.reps, feats)
+                    out.write(f"{label},{m},{b},{args.threads},"
+                              f"{int(args.pivot)},{sec:.6f},{gf:.3f},{l2},{l3}\n")
     finally:
         if args.out:
             out.close()
@@ -358,7 +366,14 @@ def _verify_checks(max_size, seed, exact):
     return checks
 
 
+#: smallest --max-size: below it the fixed pivot chain and the random
+#: sizes of the checks do not fit
+_VERIFY_MIN_SIZE = 7
+
+
 def cmd_verify(args):
+    if args.max_size < _VERIFY_MIN_SIZE:
+        return _fail(f"--max-size must be >= {_VERIFY_MIN_SIZE}, got {args.max_size}")
     failures = 0
     for name, fn in _verify_checks(args.max_size, args.seed, args.exact):
         try:
@@ -398,7 +413,8 @@ def build_parser():
     fp.set_defaults(func=cmd_factor)
 
     vp = sub.add_parser("verify", help="run the invariant suite")
-    vp.add_argument("--max-size", type=int, default=64)
+    vp.add_argument("--max-size", type=int, default=64,
+                    help=f"largest matrix size the checks use (at least {_VERIFY_MIN_SIZE})")
     vp.add_argument("--seed", type=int, default=0)
     vp.add_argument("--exact", action="store_true", help="include rational-arithmetic oracles")
     vp.add_argument("--threads", **eachthreads)

@@ -39,6 +39,10 @@ class TestPfaffian:
     def test_empty(self):
         assert pfaffian(SkewMatrixLower.zeros(0)) == 1.0
 
+    def test_zero_block_rejected(self):
+        with pytest.raises(ValueError, match="block size must be >= 1"):
+            pfaffian(random_skew(4, seed=1), b=0)
+
     def test_matches_bruteforce(self):
         for seed in range(8):
             rng = np.random.Generator(np.random.Philox(seed))
@@ -149,6 +153,20 @@ class TestSolve:
     def test_three_dimensional_rhs_rejected(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             solve(random_skew(6, seed=0), np.ones((6, 2, 2)))
+
+
+    def test_zero_block_rejected(self):
+        with pytest.raises(ValueError, match="block size must be >= 1"):
+            solve(random_skew(4, seed=1), np.ones(4), block=0)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex128])
+    def test_empty(self, shape, dtype):
+        # as numpy.linalg.solve: an empty result of b's shape in the solve dtype
+        b = np.ones(shape, dtype=dtype)
+        y = solve(SkewMatrixLower.zeros(0), b)
+        assert y.shape == shape
+        assert y.dtype == np.linalg.solve(np.zeros((0, 0)), b).dtype
 
 
 class TestTridiagSolve:

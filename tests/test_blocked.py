@@ -12,7 +12,7 @@ from skewltl import (Features, PivotUnsupported, SkewMatrixLower, ZeroPivot,
                      ltlt_blk_var1, ltlt_blk_var2a, ltlt_blk_var2b,
                      ltlt_unb_ll, ltlt_unb_rl, ltlt_unb_twostep, random_skew,
                      reconstruct)
-from skewltl import instrument
+from skewltl import blocked, instrument
 from skewltl.cli import VARIANT_NAMES, run_variant
 from skewltl.core import (InvalidVariant, SkewTridiagonal, UnitLowerFactor,
                           compose_permutation)
@@ -266,6 +266,47 @@ class TestTrace:
         gemms = (m - 1) // PANEL_NB
         assert counts == {"var2b": (gemms, gemms), "piv-var2b": (0, 0),
                           "split-var1": (0, 0), "unb-ll": (0, 0)}
+
+
+def _recorder(monkeypatch, module, name):
+    """Count the calls made through ``module.name``."""
+    calls = []
+    orig = getattr(module, name)
+
+    def record(*args, **kwargs):
+        calls.append(name)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, record)
+    return calls
+
+
+class TestPatchPoints:
+    """The benchmark's tracer wraps these module globals of ``blocked``; the
+    drivers must reach them through the module at call time."""
+
+    @pytest.mark.parametrize("kernel,run", [
+        ("skew_tridiag_rankk", lambda x: ltlt_blk_var2b(x, b=8)),
+        ("apply_row_pivots", lambda x: ltlt_blk_piv(x, b=8, fused="var2b")),
+        ("skew_rank2", lambda x: ltlt_blk_var1(x, b=8)),
+    ])
+    def test_kernel_reached_through_module(self, monkeypatch, kernel, run):
+        calls = _recorder(monkeypatch, blocked, kernel)
+        run(random_skew(40, seed=5))
+        assert calls
+
+    @pytest.mark.parametrize("driver", BLOCKED + [ltlt_blk_piv],
+                             ids=lambda fn: fn.__name__)
+    def test_drivers_do_not_call_each_other(self, monkeypatch, driver):
+        # traced driver spans must never nest
+        def refuse(*args, **kwargs):
+            raise AssertionError("a public driver called another")
+
+        for other in BLOCKED + [ltlt_blk_piv]:
+            if other is not driver:
+                monkeypatch.setattr(blocked, other.__name__, refuse)
+        r = driver(random_skew(20, seed=6), b=8)
+        assert r.t.tau.shape == (19,)
 
 
 class TestNonFinite:

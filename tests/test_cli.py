@@ -5,9 +5,13 @@ import io
 import os
 
 import numpy as np
+import pytest
 
-from skewltl import SkewMatrixLower, mm_write, random_skew
-from skewltl.cli import main
+from skewltl import (PivotUnsupported, SkewMatrixLower, ltlt_blk_left, ltlt_blk_piv,
+                     ltlt_blk_twostep, ltlt_blk_var1, ltlt_blk_var2a, ltlt_blk_var2b,
+                     ltlt_unb_ll, ltlt_unb_rl, ltlt_unb_twostep, mm_write, random_skew)
+from skewltl import cli
+from skewltl.cli import VARIANT_NAMES, main, run_variant
 
 from helpers import worked_example
 
@@ -98,6 +102,17 @@ class TestFactor:
         assert err.startswith("error:") and "non-finite residual" in err
         assert "residual=" not in out
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--block", "0"), "--block must be >= 1"),
+        (("--size", "0"), "--size must be >= 1"),
+        (("--size", "-3"), "--size must be >= 1"),
+    ])
+    def test_invalid_option_rejected(self, capsys, argv, message):
+        code, out, err = run(capsys, "factor", *argv)
+        assert code == 1
+        assert err.startswith("error:") and message in err
+        assert out == ""
+
     def test_matrix_market_input_roundtrip(self, capsys, tmp_path):
         path = tmp_path / "w.mtx"
         mm_write(path, worked_example())
@@ -158,6 +173,12 @@ class TestBench:
         assert code == 1
         assert "invalid sweep" in err
 
+    def test_zero_reps_rejected(self, capsys):
+        code, out, err = run(capsys, "bench", "--size", "8", "--reps", "0")
+        assert code == 1
+        assert err.startswith("error:") and "--reps must be >= 1" in err
+        assert out == ""
+
     def test_reproducible_single_thread(self, capsys):
         args = ["bench", "--size", "48", "--block", "8", "--reps", "1",
                 "--variant", "blk-var2b", "--seed", "11", "--threads", "1"]
@@ -182,6 +203,18 @@ class TestVerify:
         assert code == 0
         assert "exact-rational-agreement" in out
 
+    @pytest.mark.parametrize("size", ["6", "1", "0"])
+    def test_max_size_below_minimum_rejected(self, capsys, size):
+        code, out, err = run(capsys, "verify", "--max-size", size)
+        assert code == 1
+        assert err.startswith("error:") and "--max-size must be >= 7" in err
+        assert out == ""  # no check ran
+
+    def test_minimum_max_size_passes(self, capsys):
+        code, out, _ = run(capsys, "verify", "--max-size", "7", "--exact")
+        assert code == 0
+        assert "PASSED" in out
+
     def test_negative_control(self, capsys, monkeypatch):
         # an injected kernel bug must flip the exit code
         from skewltl import kernels3
@@ -201,3 +234,54 @@ def test_factor_threads_flag(capsys):
     code, out, _ = run(capsys, "factor", "--size", "64", "--threads", "2",
                        "--variant", "blk-var2a")
     assert code == 0
+
+
+#: CLI variant -> (unpivoted direct call, pivoted direct call or None)
+DIRECT = {
+    "unb-rl": (lambda x: ltlt_unb_rl(x), lambda x: ltlt_unb_rl(x, pivot=True)),
+    "unb-ll": (lambda x: ltlt_unb_ll(x), lambda x: ltlt_unb_ll(x, pivot=True)),
+    "unb-2step": (lambda x: ltlt_unb_twostep(x),
+                  lambda x: ltlt_unb_twostep(x, pivot=True)),
+    "blk-var1": (lambda x: ltlt_blk_var1(x, b=8),
+                 lambda x: ltlt_blk_piv(x, b=8, fused="var1")),
+    "blk-var2a": (lambda x: ltlt_blk_var2a(x, b=8),
+                  lambda x: ltlt_blk_piv(x, b=8, fused="var2a")),
+    "blk-var2b": (lambda x: ltlt_blk_var2b(x, b=8),
+                  lambda x: ltlt_blk_piv(x, b=8, fused="var2b")),
+    "blk-left": (lambda x: ltlt_blk_left(x, b=8), None),
+    "blk-2step": (lambda x: ltlt_blk_twostep(x, b=8), None),
+}
+
+
+class TestDispatch:
+    def test_table_covers_every_variant(self):
+        assert set(DIRECT) == set(VARIANT_NAMES)
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    @pytest.mark.parametrize("pivot", [False, True])
+    def test_matches_direct_call(self, variant, pivot):
+        x = random_skew(30, seed=4)
+        direct = DIRECT[variant][pivot]
+        if direct is None:
+            with pytest.raises(PivotUnsupported):
+                run_variant(variant, x, block=8, pivot=pivot)
+            return
+        got = run_variant(variant, x, block=8, pivot=pivot)
+        want = direct(x)
+        assert np.array_equal(got.t.tau, want.t.tau)
+        assert np.array_equal(got.l.data, want.l.data)
+        assert np.array_equal(got.p.pivots, want.p.pivots)
+        assert got.flops == want.flops
+
+    def test_pivoted_driver_looked_up_at_call_time(self, monkeypatch):
+        # wrappers installed on cli.ltlt_blk_piv (as the benchmark's tracer
+        # does) must see the pivoted blocked path
+        calls = []
+
+        def recorder(*args, **kwargs):
+            calls.append(kwargs.get("fused"))
+            return ltlt_blk_piv(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ltlt_blk_piv", recorder)
+        run_variant("blk-var2b", random_skew(20, seed=1), block=8, pivot=True)
+        assert calls == ["var2b"]
