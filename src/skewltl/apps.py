@@ -5,8 +5,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blocked import DEFAULT_BLOCK, ltlt_blk_piv
+from .blocked import DEFAULT_BLOCK, _check_block, ltlt_blk_piv
 from .core import SingularT, SkewMatrixLower, compose_permutation
+
+
+def _factor(x, b, needed):
+    """Check the block size b, then factor x when ``needed`` with
+    ``ltlt_blk_piv(fused="var2b")`` at block b (default min(DEFAULT_BLOCK,
+    m)), looked up in this module when called so a wrapper on it sees it."""
+    if b is not None:
+        _check_block(b)
+    if needed:
+        return ltlt_blk_piv(x, b=min(DEFAULT_BLOCK, x.m) if b is None else b,
+                            fused="var2b")
+    return None
 
 
 def pfaffian(x: SkewMatrixLower, b=None):
@@ -19,11 +31,11 @@ def pfaffian(x: SkewMatrixLower, b=None):
     largest finite value of the floating-point type.
     """
     m = x.m
+    res = _factor(x, b, needed=m > 0 and m % 2 == 0)
     if m == 0:
         return 1.0
     if m % 2:
         return 0.0 if x.data.dtype != object else 0
-    res = ltlt_blk_piv(x, b=min(DEFAULT_BLOCK, m) if b is None else b, fused="var2b")
     tau = res.t.tau
     if tau.dtype != object:
         with np.errstate(divide="ignore"):
@@ -44,58 +56,46 @@ def _solve_dtype(*arrays):
 
 
 def _tridiag_solve(tau, rhs, tol_scale=10.0):
-    """Solve T y = rhs for the skew tridiagonal T by Gaussian elimination
-    with partial pivoting (one extra superdiagonal of fill).
+    """Solve T y = rhs for the skew tridiagonal T (subdiagonal tau) with one
+    LAPACK ``?gtsv``: Gaussian elimination with partial pivoting, a row swap
+    wherever |subdiagonal| > |diagonal| (|re| + |im| for complex data).
 
-    Raises SingularT when a pivot falls at or below 10 eps max|tau|.
+    Raises SingularT at the first row whose pivot, the diagonal of U, is at
+    or below tol_scale eps max|tau|; m = 1 (T = 0) raises at row 0.
     Right-hand sides are solved together as columns.
     """
     tau, rhs = np.asarray(tau), np.asarray(rhs)
     dt = _solve_dtype(tau, rhs)
     m = len(tau) + 1
-    x = np.array(rhs, dtype=dt)
+    x = np.array(rhs, dtype=dt, order="F")
     if x.shape[0] != m:
         raise ValueError("dimension mismatch")
-    d = np.zeros(m, dtype=dt)
-    e = np.zeros(m, dtype=dt)
-    f2 = np.zeros(m, dtype=dt)
+    if m == 1:  # scipy's ?gtsv wrapper rejects an empty subdiagonal
+        raise SingularT(f"tridiagonal pivot {dt.type(0)!r} at row 0")
+    from scipy.linalg import get_lapack_funcs
+
     sub = np.array(tau, dtype=dt)
-    if m > 1:
-        e[:m - 1] = -sub
-    big = float(np.max(np.abs(sub))) if m > 1 else 0.0
-    thresh = tol_scale * np.finfo(float).eps * big
-    for k in range(m - 1):
-        if abs(sub[k]) > abs(d[k]):
-            d[k], sub[k] = sub[k], d[k]
-            e[k], d[k + 1] = d[k + 1], e[k]
-            if k + 2 < m:
-                f2[k], e[k + 1] = e[k + 1], f2[k]
-            x[[k, k + 1]] = x[[k + 1, k]]
-        if abs(d[k]) <= thresh:
-            raise SingularT(f"tridiagonal pivot {d[k]!r} at row {k}")
-        mult = sub[k] / d[k]
-        d[k + 1] -= mult * e[k]
-        if k + 2 < m:
-            e[k + 1] -= mult * f2[k]
-        x[k + 1] -= mult * x[k]
-    if abs(d[m - 1]) <= thresh:
-        raise SingularT(f"tridiagonal pivot {d[m - 1]!r} at row {m - 1}")
-    x[m - 1] /= d[m - 1]
-    if m > 1:
-        x[m - 2] = (x[m - 2] - e[m - 2] * x[m - 1]) / d[m - 2]
-    for k in range(m - 3, -1, -1):
-        x[k] = (x[k] - e[k] * x[k + 1] - f2[k] * x[k + 2]) / d[k]
+    thresh = tol_scale * np.finfo(float).eps * float(np.max(np.abs(sub)))
+    gtsv, = get_lapack_funcs(("gtsv",), dtype=dt)
+    _, d, _, x, info = gtsv(sub, np.zeros(m, dtype=dt), -sub, x, overwrite_b=True)
+    # info > 0: the pivot of row info - 1 is exactly zero and d past it is stale
+    small = np.flatnonzero(np.abs(d[:info or m]) <= thresh)
+    if small.size:
+        raise SingularT(f"tridiagonal pivot {d[small[0]]!r} at row {small[0]}")
     return x
 
 
 def solve(x: SkewMatrixLower, b, block=None, tol_scale=10.0):
     """Solve X y = b through the pivoted factorization (fused scheme var2b):
-    permute, unit-lower solve, pivoted tridiagonal solve, transposed
-    unit-lower solve, permute back.  b is a vector of length m or an m x k
-    array whose columns are right-hand sides (solved together); any other
-    shape raises ValueError.  The result is complex when X or b is,
-    float64 otherwise; m = 0 gives an empty result of b's shape.  Raises
-    SingularT for (numerically) singular X, which includes every odd m.
+    permute, unit-lower solve, tridiagonal solve (one ``?gtsv``), transposed
+    unit-lower solve, permute back.  The triangular solves use L's stored
+    block ``l.data[1:, :-1]`` (L = diag(1, L11): ``ltlt_blk_piv`` sets no first
+    column) and never read the buffer above its diagonal.  b is a
+    vector of length m or an m x k array whose columns are right-hand sides
+    (solved together); any other shape raises ValueError.  The result is
+    complex when X or b is, float64 otherwise; m = 0 gives an empty result
+    of b's shape; a non-finite b raises ValueError.  Raises SingularT for
+    (numerically) singular X, which includes every odd m.
     """
     from scipy.linalg import solve_triangular
 
@@ -103,20 +103,21 @@ def solve(x: SkewMatrixLower, b, block=None, tol_scale=10.0):
     b = np.asarray(b)
     if b.ndim not in (1, 2) or b.shape[0] != m:
         raise ValueError("dimension mismatch")
+    res = _factor(x, block, needed=m > 0)
     dt = _solve_dtype(x.data, b)
-    b = b.astype(dt, copy=False)
+    b = np.asarray_chkfinite(b.astype(dt, copy=False))  # LAPACK is called unchecked
     if m == 0:
         return np.empty_like(b)
     one_d = b.ndim == 1
     rhs = b[:, None] if one_d else b
-    res = ltlt_blk_piv(x, b=min(DEFAULT_BLOCK, m) if block is None else block,
-                       fused="var2b")
     perm = compose_permutation(res.p)
     z = rhs[perm]
-    ldense = res.l.dense().astype(dt, copy=False)
-    z = solve_triangular(ldense, z, lower=True, unit_diagonal=True)
+    l11 = np.array(res.l.data[1:, :-1], dtype=dt, order="F")
+    z[1:] = solve_triangular(l11, z[1:], lower=True, unit_diagonal=True,
+                             check_finite=False)
     z = _tridiag_solve(res.t.tau, z, tol_scale=tol_scale)
-    z = solve_triangular(ldense, z, trans="T", lower=True, unit_diagonal=True)
+    z[1:] = solve_triangular(l11, z[1:], trans="T", lower=True, unit_diagonal=True,
+                             check_finite=False)
     out = np.empty_like(z)
     out[perm] = z
     return out.ravel() if one_d else out

@@ -170,9 +170,19 @@ def _bench_one(variant, m, block, pivot, seed, reps, features=None):
     return (seconds, gflops, fc.level2 + fc.panel, fc.level3)
 
 
+def _int_list(text, default):
+    """Items of a comma-separated int option ([default] if unset); None if malformed."""
+    try:
+        return [int(s) for s in text.split(",")] if text else [default]
+    except ValueError:
+        return None
+
+
 def cmd_bench(args):
-    sizes = [int(s) for s in (args.sizes.split(",") if args.sizes else [args.size])]
-    blocks = [int(s) for s in (args.blocks.split(",") if args.blocks else [args.block])]
+    sizes = _int_list(args.sizes, args.size)
+    blocks = _int_list(args.blocks, args.block)
+    if sizes is None or blocks is None:
+        return _fail("--sizes and --blocks take comma-separated integers")
     variants = args.variant.split(",")
     for v in variants:
         if v not in VARIANT_NAMES:
@@ -440,6 +450,8 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    if args.seed < 0:
+        return _fail(f"--seed must be >= 0, got {args.seed}")
     return args.func(args)
 
 

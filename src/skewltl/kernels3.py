@@ -72,37 +72,20 @@ def _tril_mask(shape, k):
     return mask
 
 
-def _merge_lower_tile(tile, contrib, alpha, beta):
-    """tile := beta*tile + alpha*contrib on the entries strictly below the
-    diagonal of a tile whose top-left entry lies on it.  Entries at or above
-    the diagonal are masked out of the write, so whatever is stored there is
-    neither used nor touched.
+def _merge_tile(tile, contrib, alpha, beta, where=True):
+    """tile := beta*tile + alpha*contrib where ``where`` holds.  The
+    diagonal tile passes the cached strict-lower mask (``_tril_mask``), so
+    entries at or above the diagonal are neither used nor touched.
     """
-    mask = _tril_mask(tile.shape, -1)
     if beta == 1 and tile.dtype != object:
         if alpha == 1:
-            np.add(tile, contrib, out=tile, where=mask)
+            np.add(tile, contrib, out=tile, where=where)
         elif alpha == -1:
-            np.subtract(tile, contrib, out=tile, where=mask)
+            np.subtract(tile, contrib, out=tile, where=where)
         else:
-            np.add(tile, alpha * contrib, out=tile, where=mask)
+            np.add(tile, alpha * contrib, out=tile, where=where)
     else:
-        merged = beta * tile + alpha * contrib
-        np.copyto(tile, merged, where=mask)
-
-
-def _accum_tile(tile, contrib, alpha, beta):
-    if beta == 1 and tile.dtype != object:
-        if alpha == 1:
-            np.add(tile, contrib, out=tile)
-        elif alpha == -1:
-            np.subtract(tile, contrib, out=tile)
-        else:
-            tile += alpha * contrib
-    elif beta == 1:
-        tile += alpha * contrib
-    else:
-        tile[:] = beta * tile + alpha * contrib
+        np.copyto(tile, beta * tile + alpha * contrib, where=where)
 
 
 def _scale(c, beta, tril=True):
@@ -225,12 +208,14 @@ def _sweep(c, left, pack, alpha, beta, tril=True):
         panel = pack(jc, j1)
         if tril:
             top = min(j1, p)
-            _merge_lower_tile(c[jc:top, jc:j1], left[jc:top].dot(panel), alpha, beta)
+            tile = c[jc:top, jc:j1]
+            _merge_tile(tile, left[jc:top].dot(panel), alpha, beta,
+                        where=_tril_mask(tile.shape, -1))
         if beta == 1 and _gemm_into(c[top:, jc:j1], left[top:], panel, alpha):
             continue
         for ic in range(top, p, NB):
             i1 = min(ic + NB, p)
-            _accum_tile(c[ic:i1, jc:j1], left[ic:i1].dot(panel), alpha, beta)
+            _merge_tile(c[ic:i1, jc:j1], left[ic:i1].dot(panel), alpha, beta)
 
 
 def skew_tridiag_rankk(c, alpha, a, t: SkewTridiagonal, beta=1, *, fused=True):

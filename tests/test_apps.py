@@ -43,6 +43,12 @@ class TestPfaffian:
         with pytest.raises(ValueError, match="block size must be >= 1"):
             pfaffian(random_skew(4, seed=1), b=0)
 
+    @pytest.mark.parametrize("m", [3, 0])
+    def test_zero_block_rejected_without_factoring(self, m):
+        # odd m and m = 0 return without a factorization; b is checked first
+        with pytest.raises(ValueError, match="block size must be >= 1"):
+            pfaffian(random_skew(m, seed=1) if m else SkewMatrixLower.zeros(0), b=0)
+
     def test_matches_bruteforce(self):
         for seed in range(8):
             rng = np.random.Generator(np.random.Philox(seed))
@@ -99,7 +105,8 @@ class TestSolve:
 
     def test_roundtrip_bound(self):
         eps = np.finfo(float).eps
-        for m in (10, 50, 200):
+        # m = 512 stores L in a padded buffer, so its block is a strided view
+        for m in (10, 50, 200, 512):
             x = random_skew(m, seed=5)
             want = np.random.Generator(np.random.Philox(6)).standard_normal(m)
             y = solve(x, x.dense().dot(want))
@@ -159,6 +166,49 @@ class TestSolve:
         with pytest.raises(ValueError, match="block size must be >= 1"):
             solve(random_skew(4, seed=1), np.ones(4), block=0)
 
+    def test_zero_block_rejected_when_empty(self):
+        with pytest.raises(ValueError, match="block size must be >= 1"):
+            solve(SkewMatrixLower.zeros(0), np.ones(0), block=0)
+
+    def test_nan_above_diagonal_ignored(self):
+        # factorizations ignore what lies above the diagonal; L's buffer keeps it
+        m = 40
+        x = random_skew(m, seed=11)
+        b = np.random.Generator(np.random.Philox(12)).standard_normal((m, 2))
+        want = solve(x, b)
+        iu, ju = np.triu_indices(m)
+        x.data[iu, ju] = np.nan
+        assert np.array_equal(solve(x, b), want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_rhs_rejected(self, bad):
+        b = np.ones(6)
+        b[3] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve(random_skew(6, seed=0), b)
+
+    def test_one_by_one_singular(self):
+        with pytest.raises(SingularT, match="at row 0"):
+            solve(random_skew(1, seed=0), np.ones(1))
+
+    def test_single_factorization(self, monkeypatch):
+        # pfaffian and solve factor once each, through apps.ltlt_blk_piv
+        from skewltl import apps
+
+        calls = []
+
+        def wrapped(*args, **kwargs):
+            calls.append(kwargs)
+            return ltlt_blk_piv(*args, **kwargs)
+
+        monkeypatch.setattr(apps, "ltlt_blk_piv", wrapped)
+        x = random_skew(12, seed=13)
+        pfaffian(x)
+        assert len(calls) == 1
+        solve(x, np.ones(12))
+        assert len(calls) == 2
+        assert all(c["fused"] == "var2b" for c in calls)
+
     @pytest.mark.parametrize("shape", [(0,), (0, 3)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex128])
     def test_empty(self, shape, dtype):
@@ -169,7 +219,48 @@ class TestSolve:
         assert y.dtype == np.linalg.solve(np.zeros((0, 0)), b).dtype
 
 
+def gepp_tridiag(tau, rhs):
+    """Reference for ``_tridiag_solve``: T y = rhs by Gaussian elimination
+    with partial pivoting written out row by row, the order ``?gtsv`` uses
+    (swap when |subdiagonal| > |diagonal|, one superdiagonal of fill)."""
+    m = len(tau) + 1
+    sub = np.array(tau, dtype=np.result_type(tau, rhs, np.float64))
+    x = np.array(rhs, dtype=sub.dtype)
+    d, e, f2 = (np.zeros(m, dtype=sub.dtype) for _ in range(3))
+    e[:m - 1] = -sub
+    for k in range(m - 1):
+        if abs(sub[k]) > abs(d[k]):
+            d[k], sub[k] = sub[k], d[k]
+            e[k], d[k + 1] = d[k + 1], e[k]
+            if k + 2 < m:
+                f2[k], e[k + 1] = e[k + 1], f2[k]
+            x[[k, k + 1]] = x[[k + 1, k]]
+        mult = sub[k] / d[k]
+        d[k + 1] -= mult * e[k]
+        if k + 2 < m:
+            e[k + 1] -= mult * f2[k]
+        x[k + 1] -= mult * x[k]
+    x[m - 1] /= d[m - 1]
+    x[m - 2] = (x[m - 2] - e[m - 2] * x[m - 1]) / d[m - 2]
+    for k in range(m - 3, -1, -1):
+        x[k] = (x[k] - e[k] * x[k + 1] - f2[k] * x[k + 2]) / d[k]
+    return x
+
+
 class TestTridiagSolve:
+    @pytest.mark.parametrize("m", [2, 4, 10, 300])
+    @pytest.mark.parametrize("nrhs", [None, 3])
+    def test_matches_reference_elimination(self, m, nrhs):
+        # float64 is bitwise the elimination loop; complex pivots by
+        # |re| + |im| in zgtsv, by the modulus here, so agree to rounding
+        rng = np.random.Generator(np.random.Philox(m))
+        tau = rng.standard_normal(m - 1) + rng.choice([-2.0, 2.0], m - 1)
+        b = rng.standard_normal(m if nrhs is None else (m, nrhs))
+        assert np.array_equal(_tridiag_solve(tau, b), gepp_tridiag(tau, b))
+        ctau = tau + 1j * rng.standard_normal(m - 1)
+        got, want = _tridiag_solve(ctau, b), gepp_tridiag(ctau, b)
+        assert np.allclose(got, want, rtol=1e-10, atol=0)
+
     def test_small_against_dense(self):
         from skewltl.core import SkewTridiagonal
         rng = np.random.Generator(np.random.Philox(9))
@@ -185,3 +276,16 @@ class TestTridiagSolve:
     def test_zero_t_singular(self):
         with pytest.raises(SingularT):
             _tridiag_solve(np.zeros(3), np.ones(4))
+
+    @pytest.mark.parametrize("side,raises", [("below", True), ("at", True), ("above", False)])
+    def test_pivot_threshold(self, side, raises):
+        # the row-2 pivot equals tau[2]; SingularT at or below 10 eps max|tau|
+        thresh = 10 * np.finfo(float).eps * 2.0
+        p = {"below": np.nextafter(thresh, 0), "at": thresh,
+             "above": np.nextafter(thresh, 1)}[side]
+        tau = np.array([1.0, 0.5, p, 1.0, 2.0])
+        if raises:
+            with pytest.raises(SingularT, match="at row 2$"):
+                _tridiag_solve(tau, np.ones(6))
+        else:
+            assert np.all(np.isfinite(_tridiag_solve(tau, np.ones(6))))

@@ -3,6 +3,8 @@
 import csv
 import io
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -106,6 +108,7 @@ class TestFactor:
         (("--block", "0"), "--block must be >= 1"),
         (("--size", "0"), "--size must be >= 1"),
         (("--size", "-3"), "--size must be >= 1"),
+        (("--seed", "-1"), "--seed must be >= 0"),
     ])
     def test_invalid_option_rejected(self, capsys, argv, message):
         code, out, err = run(capsys, "factor", *argv)
@@ -173,6 +176,17 @@ class TestBench:
         assert code == 1
         assert "invalid sweep" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--sizes", "8,x"), "--sizes and --blocks take comma-separated integers"),
+        (("--blocks", "8,x"), "--sizes and --blocks take comma-separated integers"),
+        (("--seed", "-1"), "--seed must be >= 0"),
+    ])
+    def test_malformed_option_rejected(self, capsys, argv, message):
+        code, out, err = run(capsys, "bench", "--size", "8", *argv)
+        assert code == 1
+        assert err.startswith("error:") and message in err
+        assert out == ""
+
     def test_zero_reps_rejected(self, capsys):
         code, out, err = run(capsys, "bench", "--size", "8", "--reps", "0")
         assert code == 1
@@ -208,6 +222,12 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--max-size", size)
         assert code == 1
         assert err.startswith("error:") and "--max-size must be >= 7" in err
+        assert out == ""  # no check ran
+
+    def test_negative_seed_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "--seed", "-1")
+        assert code == 1
+        assert err.startswith("error:") and "--seed must be >= 0" in err
         assert out == ""  # no check ran
 
     def test_minimum_max_size_passes(self, capsys):
@@ -285,3 +305,17 @@ class TestDispatch:
         monkeypatch.setattr(cli, "ltlt_blk_piv", recorder)
         run_variant("blk-var2b", random_skew(20, seed=1), block=8, pivot=True)
         assert calls == ["var2b"]
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported only inside the apps functions that use it, so
+    # `skewltl factor` starts without loading it
+    import skewltl
+    src = os.path.dirname(os.path.dirname(os.path.abspath(skewltl.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, skewltl.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

@@ -43,6 +43,20 @@ class TestRankK:
         tol = 8 * np.finfo(float).eps * k * max(1.0, np.max(np.abs(a))**2 * max(1.0, np.max(np.abs(t.tau))))
         assert np.allclose(lower_of(c), want, atol=tol)
 
+    @pytest.mark.parametrize("m,k", [(40, 7), (2 * NB + 37, 9)])
+    @pytest.mark.parametrize("beta", [0.5, 0.0])
+    def test_against_dense_beta(self, m, k, beta):
+        # beta != 1 merges the strip below the diagonal tile in row chunks
+        a = RNG.standard_normal((m, k))
+        t = SkewTridiagonal(RNG.standard_normal(k - 1))
+        c = np.asfortranarray(RNG.standard_normal((m, m)))
+        iu, ju = np.triu_indices(m)
+        c[iu, ju] = np.nan
+        want = beta * lower_of(np.nan_to_num(c)) - lower_of(sandwich_matmul(a, t.dense(), a.T))
+        skew_tridiag_rankk(c, -1.0, a, t, beta)
+        assert np.allclose(lower_of(np.nan_to_num(c)), want)
+        assert np.all(np.isnan(c[iu, ju]))
+
     def test_upper_never_written(self):
         m, k = 20, 5
         c = np.zeros((m, m), order="F")
@@ -92,6 +106,23 @@ class TestGemm:
             skew_tridiag_gemm(c, -1.0, a, t, b, 1.0, fused=fused)
             assert np.allclose(c, want), (p, q)
 
+    @pytest.mark.parametrize("beta", [0.5, 0.0])
+    @pytest.mark.parametrize("tril", [False, True])
+    def test_against_dense_beta(self, beta, tril):
+        k = 9
+        for p, q in ((20, 30), (2 * NB + 5, NB + 3), (NB + 3, 2 * NB + 5)):
+            a = RNG.standard_normal((p, k))
+            t = SkewTridiagonal(RNG.standard_normal(k - 1))
+            b = RNG.standard_normal((k, q))
+            c0 = RNG.standard_normal((p, q))
+            want = beta * c0 + 0.5 * sandwich_matmul(a, t.dense(), b)
+            if tril:
+                above = ~np.tril(np.ones((p, q), dtype=bool), -1)
+                want[above] = c0[above]
+            c = c0.copy()
+            skew_tridiag_gemm(c, 0.5, a, t, b, beta, tril=tril)
+            assert np.allclose(c, want), (p, q)
+
     def test_tril_mode(self):
         k = 5
         for p, q in ((12, 7), (2 * NB + 5, NB + 3), (NB + 3, 2 * NB + 5)):
@@ -136,6 +167,17 @@ class TestRank2K:
         want = lower_of(c0) + 0.5 * lower_of(a.dot(b.T) - b.dot(a.T))
         c = c0.copy(order="F")
         skew_rank2k(c, 0.5, a, b, 1.0)
+        assert np.allclose(lower_of(c), want)
+
+    @pytest.mark.parametrize("m,k", [(32, 8), (NB + 21, 6)])
+    @pytest.mark.parametrize("beta", [0.5, 0.0])
+    def test_against_dense_beta(self, m, k, beta):
+        a = RNG.standard_normal((m, k))
+        b = RNG.standard_normal((m, k))
+        c0 = np.asfortranarray(RNG.standard_normal((m, m)))
+        want = beta * lower_of(c0) - 2.0 * lower_of(a.dot(b.T) - b.dot(a.T))
+        c = c0.copy(order="F")
+        skew_rank2k(c, -2.0, a, b, beta)
         assert np.allclose(lower_of(c), want)
 
     def test_zero_columns_skipped_in_count(self):
@@ -242,6 +284,25 @@ class TestInPlaceGemm:
         il, jl = np.tril_indices(m, -1)
         assert all(isinstance(v, Fraction) for v in c[il, jl])
         assert np.array_equal(c[il, jl], want[il, jl])
+
+    def test_object_dtype_beta_exact(self):
+        # beta = 1/2 merges the diagonal tile and the strip below it in Fractions
+        m, k = NB + 9, 4
+        rng = np.random.default_rng(9)
+        a = np.array([[Fraction(int(v), 3) for v in row]
+                      for row in rng.integers(-4, 5, (m, k))], dtype=object)
+        tau = np.array([Fraction(int(v), 2) for v in rng.integers(1, 5, k - 1)],
+                       dtype=object)
+        c0 = np.array([[Fraction(int(v), 5) for v in row]
+                       for row in rng.integers(-4, 5, (m, m))], dtype=object)
+        c = c0.copy(order="F")
+        skew_tridiag_rankk(c, -1, a, SkewTridiagonal(tau), Fraction(1, 2))
+        want = c0 / 2 - a.dot(SkewTridiagonal(tau).dense()).dot(a.T)
+        il, jl = np.tril_indices(m, -1)
+        assert all(isinstance(v, Fraction) for v in c[il, jl])
+        assert np.array_equal(c[il, jl], want[il, jl])
+        iu, ju = np.triu_indices(m)
+        assert np.array_equal(c[iu, ju], c0[iu, ju])
 
     @pytest.mark.parametrize("kernel", ["rankk", "rank2k", "gemm-tril"])
     def test_only_strict_lower_read_or_written(self, kernel):
