@@ -92,8 +92,8 @@ def _run_panel(work, tau, base, nelim, variant, f, carry, pivots=None):
     kw = dict(fused_l2=f.fused_l2, external_t=f.external_t)
     with instrument.scope("panel"):
         if variant == "ll":
-            _panel_ll(work, tau, base, nelim, lo, pivot=pivots is not None,
-                      pivots=pivots, fused_l3=f.fused_l3, width=PANEL_NB, **kw)
+            _panel_ll(work, tau, base, nelim, lo, pivots=pivots, fused_l3=f.fused_l3,
+                      width=PANEL_NB, **kw)
         elif variant == "rl":
             if carry:
                 _apply_pending(work, base, climit, fused_l2=f.fused_l2)

@@ -119,20 +119,21 @@ def _fail(message):
 def cmd_factor(args):
     if args.block < 1:
         return _fail(f"--block must be >= 1, got {args.block}")
-    if args.preset:
-        if args.preset != "worked-example":
-            print(f"unknown preset {args.preset!r}", file=sys.stderr)
-            return 1
-        x = worked_example_matrix()
-    elif args.infile:
-        try:
-            x = mm_read(args.infile)
-        except (OSError, ValueError) as exc:
-            return _fail(exc)
-    elif args.size < 1:
+    if not (args.preset or args.infile) and args.size < 1:
         return _fail(f"--size must be >= 1, got {args.size}")
-    else:
-        x = random_skew(args.size, seed=args.seed)
+    try:
+        if args.preset:
+            x = worked_example_matrix()
+        elif args.infile:
+            x = mm_read(args.infile)
+        else:
+            x = random_skew(args.size, seed=args.seed)
+    except (OSError, ValueError) as exc:
+        return _fail(exc)
+    except MemoryError as exc:
+        return _fail(f"out of memory: {exc}")
+    if x.m < 1:
+        return _fail(f"the matrix is {x.m}x{x.m}; factor needs m >= 1")
     try:
         result = run_variant(args.variant, x, block=args.block, pivot=args.pivot)
     except ZeroPivot as exc:

@@ -85,10 +85,6 @@ def scope(name):
     return _bound(_scope, name)
 
 
-def current_scope():
-    return _scope.get()
-
-
 def add_flops(kind, n):
     counter = _counter.get()
     if counter is None:

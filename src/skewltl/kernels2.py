@@ -9,13 +9,10 @@ Callers must not alias a kernel's output with any of its inputs.
 
 from __future__ import annotations
 
-import ctypes
-
 import numpy as np
 
-from . import instrument
+from . import _blas, instrument
 from .core import SkewTridiagonal
-from .kernels3 import _BLAS_PREFIX, _blas_symbol
 
 # Column-jam width for the rank-2 updates: each outer iteration emits the
 # fused updates for this many columns at once.
@@ -145,52 +142,6 @@ def skew_tridiag_gemv(y, alpha, a, t: SkewTridiagonal, x, beta=1, fused=True,
         y[:] = beta * y + alpha * acc
 
 
-def _laswp_symbol(prefix):
-    """Fortran ``scipy_<prefix>laswp_64_`` from numpy's OpenBLAS, or None.
-
-    Every argument goes by reference: n, a, lda, k1, k2, ipiv, incx, with
-    int64 integers and ``ipiv`` 1-based.
-    """
-    i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
-    return _blas_symbol(f"scipy_{prefix}laswp_64_", (i64, ptr, i64, i64, i64, ptr, i64))
-
-
-def _laswp(block, pivots, forward):
-    """Swap the rows of ``block`` in place with one BLAS ``?laswp`` call,
-    the swaps of ``pivots`` in order (or in reverse when not ``forward``).
-
-    The offsets must already be validated: BLAS checks no bounds.  Returns
-    False, with ``block`` untouched, when BLAS cannot take it: a dtype other
-    than float32, float64, complex64 or complex128, rows that are not
-    unit-strided, a column stride below the height, a read-only view, or no
-    such symbol in numpy's OpenBLAS.  The call releases the GIL.
-    """
-    dt = block.dtype
-    if dt not in _BLAS_PREFIX or not block.flags.writeable:
-        return False
-    n = block.shape[0]
-    q = block.shape[1] if block.ndim == 2 else 1
-    if block.strides[0] != dt.itemsize:
-        return False
-    ld = n
-    if q > 1:
-        ld, rem = divmod(block.strides[1], dt.itemsize)
-        if rem or ld < n:
-            return False
-    fn = _laswp_symbol(_BLAS_PREFIX[dt])
-    if fn is None:
-        return False
-    k2 = int(np.flatnonzero(pivots)[-1]) + 1
-    ipiv = np.arange(1, k2 + 1, dtype=np.int64)
-    ipiv += pivots[:k2]
-    def ref(v):
-        return ctypes.byref(ctypes.c_int64(v))
-
-    fn(ref(q), block.ctypes.data, ref(ld), ref(1), ref(k2), ipiv.ctypes.data,
-       ref(1 if forward else -1))
-    return True
-
-
 def apply_row_pivots(block, p, forward=True):
     """Permute the rows of ``block`` (1-D or 2-D) by P(p) (or its inverse).
 
@@ -212,7 +163,7 @@ def apply_row_pivots(block, p, forward=True):
     rows = np.flatnonzero(idx != np.arange(n))
     instrument.record_call("apply_row_pivots")
     instrument.add_flops("pivot", rows.size * q)
-    if not rows.size or not q or _laswp(block, pivots, forward):
+    if not rows.size or not q or _blas.laswp(block, pivots, forward):
         return
     if not forward:
         inv = np.empty_like(idx)

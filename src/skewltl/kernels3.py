@@ -8,28 +8,17 @@ diagonal block merges through a mask, so entries at or above the diagonal
 are never written (and garbage stored there never propagates).  The strip
 below it is accumulated in place by one BLAS ``?gemm`` with beta = 1 and C's
 own leading dimension, as BLIS-style GEMM accumulates into C (Goto and van
-de Geijn, TOMS 2008); cache blocking and any threading are the BLAS's own.
-Operands BLAS cannot take (exact scalars, mixed dtypes, rows of C that are
-not unit-strided) are updated in ``NB``-row chunks with plain matmuls.
-
-The BLAS is the OpenBLAS numpy itself has loaded for ``matmul``
-(``numpy.libs/libscipy_openblas64_-*.so`` in Linux wheels, under
-``numpy/.dylibs`` on macOS), reached through ctypes, so it adds no library
-to the process and follows the same ``OPENBLAS_NUM_THREADS``.  scipy's
-``cython_blas`` would load scipy's separate copy of OpenBLAS, and its f2py
-``dgemm`` copies any view whose leading dimension is not its height.  The
-same cached lookup (``_blas_symbol``) also serves ``?laswp``, with which
-``kernels2.apply_row_pivots`` swaps rows in place.
+de Geijn, TOMS 2008); cache blocking and any threading are the BLAS's own,
+reached through ``_blas``.  Operands BLAS cannot take (exact scalars, mixed
+dtypes, rows of C that are not unit-strided) are updated in ``NB``-row
+chunks with plain matmuls.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
-
 import numpy as np
 
-from . import instrument
+from . import _blas, instrument
 from .core import SkewTridiagonal
 
 # Block-column width of the sweep, and the row-chunk height of its matmul
@@ -108,89 +97,6 @@ def _pack_t(tau, x):
     return out
 
 
-# ILP64 CBLAS constants: CblasColMajor, CblasNoTrans, CblasTrans.
-_COL_MAJOR, _NO_TRANS, _TRANS = 102, 111, 112
-# BLAS letter of each dtype numpy's OpenBLAS takes.
-_BLAS_PREFIX = {np.dtype(np.float32): "s", np.dtype(np.float64): "d",
-                np.dtype(np.complex64): "c", np.dtype(np.complex128): "z"}
-
-
-@functools.cache
-def _blas_symbol(name, argtypes):
-    """Function ``name`` of numpy's OpenBLAS with the given ctypes
-    ``argtypes`` (returning nothing), or None.
-
-    Opening numpy's extension module returns the handle the process already
-    holds, and symbol lookup through it searches the libraries it links,
-    so this finds the very OpenBLAS numpy's ``matmul`` uses.
-    """
-    try:
-        from numpy._core import _multiarray_umath
-        fn = getattr(ctypes.CDLL(_multiarray_umath.__file__), name)
-    except (ImportError, OSError, AttributeError):
-        return None
-    fn.argtypes = argtypes
-    fn.restype = None
-    return fn
-
-
-def _gemm_symbol(prefix):
-    """``scipy_cblas_<prefix>gemm64_`` from numpy's OpenBLAS, or None."""
-    scalar = {"s": ctypes.c_float, "d": ctypes.c_double}.get(prefix, ctypes.c_void_p)
-    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    return _blas_symbol(f"scipy_cblas_{prefix}gemm64_",
-                        (ctypes.c_int,) * 3 + (i64,) * 3
-                        + (scalar, ptr, i64, ptr, i64, scalar, ptr, i64))
-
-
-def _blas_layout(x):
-    """(transpose flag, leading dimension) of a 2-D view for column-major
-    BLAS: NoTrans when its rows are unit-strided, Trans when its columns
-    are; None otherwise (negative, zero or overlapping strides)."""
-    r, s = x.shape
-    sr, sc = (st // x.itemsize if st > 0 and st % x.itemsize == 0 else 0
-              for st in x.strides)
-    if sr == 1 and sc >= r:
-        return _NO_TRANS, sc
-    if sc == 1 and sr >= s:
-        return _TRANS, sr
-    return None
-
-
-def _gemm_into(c, a, b, alpha):
-    """C += alpha * A @ B in place with one BLAS ``?gemm`` (beta = 1).
-
-    C must have unit-strided rows; its column stride is the leading
-    dimension, so a view into a padded buffer is updated where it lies.  A
-    and B may each be F- or C-strided.  Returns False, with C untouched,
-    when BLAS cannot take the operands: a dtype other than float32,
-    float64, complex64 or complex128 shared by all three, a complex alpha
-    with real data, other strides, or no such symbol in numpy's OpenBLAS.
-    The call releases the GIL.
-    """
-    dt = c.dtype
-    if (dt not in _BLAS_PREFIX or a.dtype != dt or b.dtype != dt
-            or (dt.kind != "c" and np.iscomplexobj(alpha)) or not c.flags.writeable):
-        return False
-    (m, n), k = c.shape, a.shape[1]
-    if a.shape[0] != m or b.shape != (k, n):
-        raise ValueError("dimension mismatch")
-    if m == 0 or n == 0 or k == 0:
-        return True
-    lc, la, lb = _blas_layout(c), _blas_layout(a), _blas_layout(b)
-    fn = _gemm_symbol(_BLAS_PREFIX[dt])
-    if fn is None or lc is None or lc[0] != _NO_TRANS or la is None or lb is None:
-        return False
-    if dt.kind == "c":
-        scalars = np.array([alpha, 1], dtype=dt)
-        alpha_arg, beta_arg = scalars.ctypes.data, scalars.ctypes.data + dt.itemsize
-    else:
-        alpha_arg, beta_arg = float(alpha), 1.0
-    fn(_COL_MAJOR, la[0], lb[0], m, n, k, alpha_arg, a.ctypes.data, la[1],
-       b.ctypes.data, lb[1], beta_arg, c.ctypes.data, lc[1])
-    return True
-
-
 def _sweep(c, left, pack, alpha, beta, tril=True):
     """C := beta*C + alpha * left @ pack(jc, j1), one block column at a time.
 
@@ -211,7 +117,7 @@ def _sweep(c, left, pack, alpha, beta, tril=True):
             tile = c[jc:top, jc:j1]
             _merge_tile(tile, left[jc:top].dot(panel), alpha, beta,
                         where=_tril_mask(tile.shape, -1))
-        if beta == 1 and _gemm_into(c[top:, jc:j1], left[top:], panel, alpha):
+        if beta == 1 and _blas.gemm_into(c[top:, jc:j1], left[top:], panel, alpha):
             continue
         for ic in range(top, p, NB):
             i1 = min(ic + NB, p)

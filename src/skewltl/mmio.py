@@ -120,10 +120,12 @@ def mm_read(path) -> SkewMatrixLower:
         while line.startswith("%"):
             line = fh.readline()
             skip += 1
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"{path}: malformed size line")
-        m, n, nnz = (int(t) for t in parts)
+        try:
+            m, n, nnz = (int(t) for t in line.split())
+            if m < 0 or nnz < 0:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"{path}: malformed size line") from None
         if m != n:
             raise ValueError(f"{path}: matrix is {m}x{n}, expected square")
         x = SkewMatrixLower.zeros(m)

@@ -55,17 +55,6 @@ def sandwich_matmul(a, t_dense, b):
     return np.asarray(a).dot(np.asarray(t_dense)).dot(np.asarray(b))
 
 
-def to_exact(x: SkewMatrixLower) -> SkewMatrixLower:
-    """Copy of x with Fraction entries in an object buffer (exact, no rounding)."""
-    m = x.m
-    buf = np.zeros((m, m), dtype=object, order="F")
-    for j in range(m - 1):
-        for i in range(j + 1, m):
-            v = x.data[i, j]
-            buf[i, j] = v if isinstance(v, Fraction) else Fraction(v.item() if hasattr(v, "item") else v)
-    return SkewMatrixLower(buf)
-
-
 def exact_from_int(lower_entries, m) -> SkewMatrixLower:
     """Skew matrix from an integer strictly-lower entry list (column-major)."""
     buf = np.zeros((m, m), dtype=object, order="F")

@@ -95,20 +95,18 @@ def _finalize(work, tau, pivots, m, fc, external_t=True, first_column=None):
         UnitLowerFactor(work, "ones", first_column), SkewTridiagonal(tau), p, fc)
 
 
-def _eliminate(work, tau, g, external_t=True, pivot=False, pivots=None, swap_from=0):
+def _eliminate(work, tau, g, external_t, pivots, swap_from):
     """Turn buffer column g into column g+1 of L and record tau[g].
 
-    With pivoting, the largest-magnitude element of the subcolumn is
+    With ``pivots``, the largest-magnitude element of the subcolumn is
     swapped to the top first (ties to the lowest index) and the offset is
     recorded; the symmetric swap covers all columns >= swap_from, leaving
     older columns for the caller to fix up in one blocked pass.
     """
-    m = work.shape[0]
-    if pivot:
+    if pivots is not None:
         sub = work[g + 1:, g]
         off = int(np.argmax(np.abs(sub)))
-        if pivots is not None:
-            pivots[g + 1] = off
+        pivots[g + 1] = off
         if off:
             a = g + 1 - swap_from
             _sym_swap_lower(work[swap_from:, swap_from:], a, a + off)
@@ -116,7 +114,7 @@ def _eliminate(work, tau, g, external_t=True, pivot=False, pivots=None, swap_fro
     tau[g] = piv
     below = work[g + 2:, g]
     if piv == 0:
-        if not pivot and below.size and np.any(below != 0):
+        if pivots is None and below.size and np.any(below != 0):
             raise ZeroPivot(g)
         # whole subcolumn zero: tau 0, L column is a basis vector; continue
     else:
@@ -126,16 +124,15 @@ def _eliminate(work, tau, g, external_t=True, pivot=False, pivots=None, swap_fro
         work[g + 1, g] = 1
 
 
-def _panel_ll(work, tau, base, nelim, lo, *, pivot=False, pivots=None,
-              swap_from=None, fused_l2=True, external_t=True, fused_l3=True,
-              width=1):
+def _panel_ll(work, tau, base, nelim, lo, *, pivots=None, fused_l2=True,
+              external_t=True, fused_l3=True, width=1):
     """Left-looking eliminations of columns [base, base + nelim).
 
     ``lo`` is the leftmost buffer column participating in the column
     updates: lo == base for a fresh panel, lo == base - 1 when the delayed
     transform of the previous block still has to be folded in.  Each column
     is updated against the L columns and tau values to its left, then
-    (optionally) pivoted, then eliminated.
+    pivoted (with ``pivots``), then eliminated; swaps reach columns >= lo.
 
     The columns are taken in inner blocks of ``width`` (1 with pivoting,
     and without ``external_t``, where the unit entries of L that the block
@@ -148,9 +145,7 @@ def _panel_ll(work, tau, base, nelim, lo, *, pivot=False, pivots=None,
     swap with a column outside the block would mix updated and raw data.
     Writes stay inside the panel's columns.
     """
-    if swap_from is None:
-        swap_from = lo
-    if pivot or not external_t:
+    if pivots is not None or not external_t:
         width = 1
     end = base + nelim
     for g0 in range(base, end, width):
@@ -171,45 +166,42 @@ def _panel_ll(work, tau, base, nelim, lo, *, pivot=False, pivots=None,
                 skew_tridiag_gemv(work[g + 1:, g], -1, work[:, left:g],
                                   SkewTridiagonal(tau[left + 1:g]), xrow, 1,
                                   fused=fused_l2, tail_from=g + 1)
-            _eliminate(work, tau, g, external_t, pivot, pivots, swap_from)
+            _eliminate(work, tau, g, external_t, pivots, lo)
 
 
 def _panel_rl(work, tau, base, nelim, climit, *, fused_l2=True, external_t=True,
-              pivot=False, pivots=None, swap_from=None):
+              pivots=None):
     """Right-looking eliminations of [base, base + nelim) with the trailing
     rank-2 updates restricted to columns < climit (square skew part plus
-    rectangular general part)."""
-    if swap_from is None:
-        swap_from = base
+    rectangular general part); pivot swaps reach columns >= base."""
     for g in range(base, base + nelim):
-        _eliminate(work, tau, g, external_t, pivot, pivots, swap_from)
+        _eliminate(work, tau, g, external_t, pivots, base)
         s = g + 2
         trapezoid_rank2(work, s, climit, 1, work[s:, g], work[s:, g + 1],
                         fused=fused_l2)
 
 
 def _panel_twostep(work, tau, base, nelim, climit, *, fused_l2=True,
-                   external_t=True, pivot=False, pivots=None, swap_from=None):
+                   external_t=True, pivots=None):
     """Two-step eliminations of [base, base + nelim): because the diagonal
     partner of the pivot is zero, the transform from column g leaves column
     g+1 untouched, so a pair of transforms comes straight from current data
     and their two couplings collapse into one rank-2 via the splitting
     W = L S.  An odd leftover column falls back to one right-looking step.
+    Pivot swaps reach columns >= base.
     """
-    if swap_from is None:
-        swap_from = base
     m = work.shape[0]
     end = base + nelim
     g = base
     while g < end:
         if g + 1 >= end:
-            _eliminate(work, tau, g, external_t, pivot, pivots, swap_from)
+            _eliminate(work, tau, g, external_t, pivots, base)
             trapezoid_rank2(work, g + 2, climit, 1, work[g + 2:, g],
                             work[g + 2:, g + 1], fused=fused_l2)
             g += 1
             continue
-        _eliminate(work, tau, g, external_t, pivot, pivots, swap_from)
-        _eliminate(work, tau, g + 1, external_t, pivot, pivots, swap_from)
+        _eliminate(work, tau, g, external_t, pivots, base)
+        _eliminate(work, tau, g + 1, external_t, pivots, base)
         s = g + 3
         if g + 2 < min(climit, m):
             lcol1 = work[s:, g]        # L column g+1 below row g+2
@@ -251,7 +243,7 @@ def ltlt_unb_rl(x: SkewMatrixLower, pivot=False) -> FactorizationResult:
     pivots = np.zeros(m, dtype=np.int64) if pivot else None
     fc = FlopCounter()
     with counting(fc):
-        _panel_rl(work, tau, 0, m - 1, m, pivot=pivot, pivots=pivots, swap_from=0)
+        _panel_rl(work, tau, 0, m - 1, m, pivots=pivots)
     return _finalize(work, tau, pivots, m, fc)
 
 
@@ -275,7 +267,7 @@ def ltlt_unb_ll(x: SkewMatrixLower, pivot=False, first_column=None) -> Factoriza
     with counting(fc):
         if first_column is not None:
             fcvec = _apply_first_column(work, first_column)
-        _panel_ll(work, tau, 0, m - 1, 0, pivot=pivot, pivots=pivots, swap_from=0)
+        _panel_ll(work, tau, 0, m - 1, 0, pivots=pivots)
     return _finalize(work, tau, pivots, m, fc, first_column=fcvec)
 
 
@@ -289,7 +281,7 @@ def ltlt_unb_twostep(x: SkewMatrixLower, pivot=False) -> FactorizationResult:
     pivots = np.zeros(m, dtype=np.int64) if pivot else None
     fc = FlopCounter()
     with counting(fc):
-        _panel_twostep(work, tau, 0, m - 1, m, pivot=pivot, pivots=pivots, swap_from=0)
+        _panel_twostep(work, tau, 0, m - 1, m, pivots=pivots)
     return _finalize(work, tau, pivots, m, fc)
 
 
@@ -321,7 +313,7 @@ def ltlt_unb_panel(x: SkewMatrixLower, panel_width, variant="ll", pivot=False,
             fcvec = _apply_first_column(work, first_column)
         with instrument.scope("panel"):
             if variant == "ll":
-                _panel_ll(work, tau, 0, nelim, 0, pivot=pivot, pivots=pivots, swap_from=0)
+                _panel_ll(work, tau, 0, nelim, 0, pivots=pivots)
             elif variant == "rl":
                 _panel_rl(work, tau, 0, nelim, climit)
             else:

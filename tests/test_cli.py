@@ -116,6 +116,21 @@ class TestFactor:
         assert err.startswith("error:") and message in err
         assert out == ""
 
+    @pytest.mark.parametrize("size_line,message", [
+        ("0 0 0", "needs m >= 1"),
+        # 71 PiB: the allocation fails at once rather than lazily
+        ("100000000 100000000 0", "out of memory"),
+        ("-3 -3 0", "bad.mtx: malformed size line"),
+        ("3 3 -1", "bad.mtx: malformed size line"),
+    ])
+    def test_invalid_size_line_rejected(self, capsys, tmp_path, size_line, message):
+        path = tmp_path / "bad.mtx"
+        path.write_text(f"%%MatrixMarket matrix coordinate real skew-symmetric\n{size_line}\n")
+        code, out, err = run(capsys, "factor", "--in", str(path))
+        assert code == 1
+        assert err.startswith("error:") and message in err
+        assert out == ""
+
     def test_matrix_market_input_roundtrip(self, capsys, tmp_path):
         path = tmp_path / "w.mtx"
         mm_write(path, worked_example())

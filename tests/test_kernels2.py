@@ -7,7 +7,7 @@ import pytest
 
 from skewltl import (PermutationVector, SkewMatrixLower, SkewTridiagonal,
                      ltlt_blk_piv, random_skew)
-from skewltl import kernels2
+from skewltl import _blas
 from skewltl.kernels2 import (apply_row_pivots, gen_rank2,
                               skew_rank2, skew_tridiag_gemv, trapezoid_rank2,
                               tridiag_matvec)
@@ -235,7 +235,7 @@ def random_offsets(rng, n, k=None):
 def gathered(block, pivots, forward, monkeypatch):
     """apply_row_pivots with the ?laswp lookup patched away (the gather)."""
     with monkeypatch.context() as mp:
-        mp.setattr(kernels2, "_laswp_symbol", lambda prefix: None)
+        mp.setattr(_blas, "_laswp_symbol", lambda prefix: None)
         apply_row_pivots(block, pivots, forward)
 
 
@@ -254,28 +254,35 @@ class TestLaswp:
         pivots = np.array([3, 0, 4, 1])
         for k, off in enumerate(pivots):
             want[[k, k + off]] = want[[k + off, k]]
-        assert kernels2._laswp_symbol(kernels2._BLAS_PREFIX[np.dtype(dtype)]) is not None
-        assert kernels2._laswp(b, pivots, True)
+        assert _blas._laswp_symbol(_blas._BLAS_PREFIX[np.dtype(dtype)]) is not None
+        assert _blas.laswp(b, pivots, True)
         assert np.array_equal(b, want)
 
     @pytest.mark.parametrize("dtype", BLAS_DTYPES)
     @pytest.mark.parametrize("forward", [True, False])
     def test_padded_view_matches_gather(self, dtype, forward, monkeypatch):
         # the drivers' call: work[base + 1:, :lo] of a buffer whose leading
-        # dimension exceeds its height; NaN sentinels fill everything else
+        # dimension exceeds its height; NaN sentinels fill everything else.
+        # A single column takes ?laswp at its F stride (the leading
+        # dimension) and at its C stride (one element) alike
         rng = np.random.Generator(np.random.Philox(41))
-        m, ld, base, lo = 40, 48, 9, 7
+        m, ld, base = 40, 48, 9
         work = np.full((ld, m), np.nan, dtype=dtype, order="F")
         work[:m] = random_of(dtype, (m, m), rng)
         pivots = random_offsets(rng, m - base - 1, 12)
-        fast, slow = work.copy(order="F"), work.copy(order="F")
-        apply_row_pivots(fast[base + 1:m, :lo], pivots, forward)
-        gathered(slow[base + 1:m, :lo], pivots, forward, monkeypatch)
-        assert same_bits(fast, slow)
-        assert not np.array_equal(fast[:m, :lo], work[:m, :lo])
-        assert np.isnan(fast[m:]).all()
-        assert same_bits(fast[:, lo:], work[:, lo:])
-        assert same_bits(fast[:base + 1], work[:base + 1])
+        blocks = [(7, lambda w: w[base + 1:m, :7]),
+                  (1, lambda w: w[base + 1:m, :1]),
+                  (1, lambda w: w[base + 1:m, 0].reshape(-1, 1))]
+        for lo, block in blocks:
+            assert _blas.laswp(block(work.copy(order="F")), pivots, forward)
+            fast, slow = work.copy(order="F"), work.copy(order="F")
+            apply_row_pivots(block(fast), pivots, forward)
+            gathered(block(slow), pivots, forward, monkeypatch)
+            assert same_bits(fast, slow)
+            assert not np.array_equal(fast[:m, :lo], work[:m, :lo])
+            assert np.isnan(fast[m:]).all()
+            assert same_bits(fast[:, lo:], work[:, lo:])
+            assert same_bits(fast[:base + 1], work[:base + 1])
 
     @pytest.mark.parametrize("forward", [True, False])
     def test_vector_block_matches_gather(self, forward, monkeypatch):
@@ -286,7 +293,7 @@ class TestLaswp:
         apply_row_pivots(fast, pivots, forward)
         gathered(slow, pivots, forward, monkeypatch)
         assert same_bits(fast, slow)
-        assert kernels2._laswp(v.copy(), pivots, forward)
+        assert _blas.laswp(v.copy(), pivots, forward)
 
     def test_trailing_zero_offsets(self, monkeypatch):
         # a pivot vector longer than the block is legal when its tail is zero
@@ -311,16 +318,22 @@ class TestLaswp:
         base = np.arange(12.0).reshape(4, 3)
         want = base[[2, 0, 1, 3]]
         exact = np.array([[Fraction(int(v))] for v in base[:, 0]], dtype=object)
-        assert not kernels2._laswp(exact, pivots, True)
+        assert not _blas.laswp(exact, pivots, True)
         apply_row_pivots(exact, pivots)
         assert exact[:, 0].tolist() == want[:, 0].tolist()
         c_order = base.copy()
-        assert not kernels2._laswp(c_order, pivots, True)
+        assert not _blas.laswp(c_order, pivots, True)
         apply_row_pivots(c_order, pivots)
         assert np.array_equal(c_order, want)
+        tall = np.asfortranarray(np.arange(24.0).reshape(8, 3))
+        for strided in (np.asfortranarray(base)[::-1], tall[::2], tall[::2, 0]):
+            want_strided = strided[[2, 0, 1, 3]]
+            assert not _blas.laswp(strided, pivots, True)
+            apply_row_pivots(strided, pivots)
+            assert np.array_equal(strided, want_strided)
         frozen = np.asfortranarray(base)
         frozen.flags.writeable = False
-        assert not kernels2._laswp(frozen, pivots, True)
+        assert not _blas.laswp(frozen, pivots, True)
         with pytest.raises(ValueError):
             apply_row_pivots(frozen, pivots)
         assert np.array_equal(frozen, base)
@@ -335,7 +348,7 @@ class TestLaswp:
         x = SkewMatrixLower(np.asfortranarray(data.astype(dtype)))
         fast = ltlt_blk_piv(x.copy(), b=128, fused=fused)
         with monkeypatch.context() as mp:
-            mp.setattr(kernels2, "_laswp_symbol", lambda prefix: None)
+            mp.setattr(_blas, "_laswp_symbol", lambda prefix: None)
             slow = ltlt_blk_piv(x.copy(), b=128, fused=fused)
         assert fast.p.nontrivial
         assert same_bits(fast.p.pivots, slow.p.pivots)

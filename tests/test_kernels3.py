@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from skewltl import SkewTridiagonal, form_s_splitting, kernels3
-from skewltl.kernels3 import (NB, _gemm_into, form_w, skew_rank2k,
+from skewltl import SkewTridiagonal, _blas, form_s_splitting
+from skewltl._blas import gemm_into
+from skewltl.kernels3 import (NB, form_w, skew_rank2k,
                               skew_tridiag_gemm, skew_tridiag_rankk)
 from skewltl.instrument import FlopCounter, counting
 from skewltl.oracle import dense_sandwich, sandwich_matmul
@@ -215,7 +216,7 @@ class TestInPlaceGemm:
         c = random_of(dtype, (7, 5), "F")
         a, b = random_of(dtype, (7, 3), "F"), random_of(dtype, (3, 5), "F")
         want = c - a.dot(b)
-        assert _gemm_into(c, a, b, -1)
+        assert gemm_into(c, a, b, -1)
         assert np.allclose(c, want, rtol=rtol_of(dtype), atol=rtol_of(dtype))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -232,7 +233,7 @@ class TestInPlaceGemm:
         a = random_of(dtype, (p + 2, k + 3), a_order)[1:1 + p, 2:2 + k]
         b = random_of(dtype, (k + 1, q + 2), b_order)[1:, 2:]
         want = c + alpha * a.dot(b)
-        assert _gemm_into(c, a, b, alpha)
+        assert gemm_into(c, a, b, alpha)
         assert np.allclose(c, want, rtol=1e-13, atol=1e-13)
         outside = np.ones(buf.shape, dtype=bool)
         outside[3:3 + p, 2:2 + q] = False
@@ -242,8 +243,11 @@ class TestInPlaceGemm:
         c = random_of(np.float64, (9, 6))          # C order: rows not unit-strided
         a, b = random_of(np.float64, (9, 4)), random_of(np.float64, (4, 6))
         c0 = c.copy()
-        assert not _gemm_into(c, a, b, 1.0)
-        assert not _gemm_into(np.asfortranarray(c)[::-1], a, b, 1.0)
+        assert not gemm_into(c, a, b, 1.0)
+        assert not gemm_into(np.asfortranarray(c)[::-1], a, b, 1.0)
+        column = c[:, :1].copy()                   # C-ordered (m, 1): Trans, not NoTrans
+        assert not gemm_into(column, a, b[:, :1], 1.0)
+        assert np.array_equal(column, c0[:, :1])
         assert np.array_equal(c, c0)
         t = SkewTridiagonal(RNG.standard_normal(3))
         skew_tridiag_gemm(c, -1.0, a, t, b, 1.0)
@@ -251,10 +255,10 @@ class TestInPlaceGemm:
 
     def test_mixed_dtypes_fall_back(self):
         c = random_of(np.float64, (5, 4), "F")
-        assert not _gemm_into(c, random_of(np.float32, (5, 2), "F"),
-                              random_of(np.float64, (2, 4), "F"), 1.0)
-        assert not _gemm_into(c, random_of(np.float64, (5, 2), "F"),
-                              random_of(np.float64, (2, 4), "F"), 1j)
+        assert not gemm_into(c, random_of(np.float32, (5, 2), "F"),
+                             random_of(np.float64, (2, 4), "F"), 1.0)
+        assert not gemm_into(c, random_of(np.float64, (5, 2), "F"),
+                             random_of(np.float64, (2, 4), "F"), 1j)
 
     def test_missing_symbol_falls_back(self, monkeypatch):
         m, k = NB + 40, 6
@@ -263,8 +267,8 @@ class TestInPlaceGemm:
         c0 = np.asfortranarray(RNG.standard_normal((m, m)))
         fast = c0.copy(order="F")
         skew_tridiag_rankk(fast, -1.0, a, t, 1.0)
-        monkeypatch.setattr(kernels3, "_gemm_symbol", lambda prefix: None)
-        assert not _gemm_into(c0[:, :3].copy(order="F"), a, a[:3].T.copy(), 1.0)
+        monkeypatch.setattr(_blas, "_gemm_symbol", lambda prefix: None)
+        assert not gemm_into(c0[:, :3].copy(order="F"), a, a[:3].T.copy(), 1.0)
         slow = c0.copy(order="F")
         skew_tridiag_rankk(slow, -1.0, a, t, 1.0)
         assert np.allclose(lower_of(slow), lower_of(fast), rtol=1e-13, atol=1e-13)
@@ -278,7 +282,7 @@ class TestInPlaceGemm:
                        dtype=object)
         c = np.zeros((m, m), dtype=object, order="F")
         c[:] = Fraction(0)
-        assert not _gemm_into(c[NB:, :NB], a[NB:], a[:NB].T, 1)
+        assert not gemm_into(c[NB:, :NB], a[NB:], a[:NB].T, 1)
         skew_tridiag_rankk(c, -1, a, SkewTridiagonal(tau), 1)
         want = -a.dot(SkewTridiagonal(tau).dense()).dot(a.T)
         il, jl = np.tril_indices(m, -1)

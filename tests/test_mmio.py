@@ -120,6 +120,9 @@ HEADER = "%%MatrixMarket matrix coordinate real skew-symmetric\n"
     ("non-integer-index", "3 3 1\n2.5 1 1.0\n", r"line 3: expected 'row col value'"),
     ("float-index", "3 3 1\n2.0 1 1.0\n", r"line 3: expected 'row col value'"),
     ("bad-value", "3 3 1\n2 1 abc\n", r"line 3: expected 'row col value'"),
+    ("negative-size", "-3 -3 0\n", "malformed size line"),
+    ("negative-nnz", "3 3 -1\n", "malformed size line"),
+    ("non-integer-size", "3 3 x\n", "malformed size line"),
 ])
 def test_malformed_entries_rejected(tmp_path, name, body, match):
     path = tmp_path / f"{name}.mtx"
