@@ -93,10 +93,6 @@ def residual_norm(x, result):
     return float(num / den) if den else float(num)
 
 
-def _model_name(variant):
-    return "unb-rl" if variant.startswith("unb-rl") else "blk-var1"
-
-
 def _write_factor_files(prefix, result):
     l = result.l
     m = l.m
@@ -166,7 +162,7 @@ def _bench_one(variant, m, block, pivot, seed, reps, features=None):
         times.append(time.perf_counter() - t0)
     seconds = statistics.median(times)
     from .oracle import flop_model
-    gflops = flop_model(_model_name(variant), m) / seconds / 1e9
+    gflops = flop_model(variant, m) / seconds / 1e9
     fc = result.flops
     return (seconds, gflops, fc.level2 + fc.panel, fc.level3)
 

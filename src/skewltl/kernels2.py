@@ -2,9 +2,10 @@
 
 Kernels update numpy views in place, touch each stored output entry exactly
 once per call, and are dtype-agnostic (exact scalars flow through).  The
-Python layer is single-threaded: each kernel issues plain numpy calls (row
-pivots one BLAS ``?laswp``), and any parallelism is the BLAS's own.
-Callers must not alias a kernel's output with any of its inputs.
+rank-2 updates run on the block-column sweep of ``kernels3`` with k = 1,
+and row pivots are one BLAS ``?laswp``.  The Python layer is
+single-threaded; any parallelism is the BLAS's own.  Callers must not
+alias a kernel's output with any of its inputs.
 """
 
 from __future__ import annotations
@@ -13,10 +14,7 @@ import numpy as np
 
 from . import _blas, instrument
 from .core import SkewTridiagonal
-
-# Column-jam width for the rank-2 updates: each outer iteration emits the
-# fused updates for this many columns at once.
-JAM = 64
+from .kernels3 import _skew_sweep, _sweep
 
 
 def get_workers():
@@ -40,23 +38,7 @@ def skew_rank2(a, alpha, x, y, beta=1):
         return
     if alpha == 0 and beta == 1:
         return
-    for j0 in range(0, n, JAM):
-        j1 = min(j0 + JAM, n)
-        for j in range(j0, j1):
-            seg = a[j + 1:j1, j]
-            if seg.size:
-                upd = alpha * (x[j + 1:j1] * y[j] - y[j + 1:j1] * x[j])
-                if beta == 1:
-                    seg += upd
-                else:
-                    a[j + 1:j1, j] = beta * seg + upd
-        if j1 < n:
-            blk = a[j1:, j0:j1]
-            upd = alpha * (np.outer(x[j1:], y[j0:j1]) - np.outer(y[j1:], x[j0:j1]))
-            if beta == 1:
-                blk += upd
-            else:
-                blk[:] = beta * blk + upd
+    _skew_sweep(a, alpha, x[:, None], y[:, None], beta)
 
 
 def gen_rank2(a, alpha, x, u, y, v, beta=1, fused=True):
@@ -73,11 +55,9 @@ def gen_rank2(a, alpha, x, u, y, v, beta=1, fused=True):
     if p == 0 or q == 0 or (alpha == 0 and beta == 1):
         return
     if fused:
-        upd = alpha * (np.outer(x, u) + np.outer(y, v))
-        if beta == 1:
-            a += upd
-        else:
-            a[:] = beta * a + upd
+        uv = np.stack((u, v))
+        _sweep(a, np.column_stack((x, y)), lambda jc, j1: uv[:, jc:j1], alpha, beta,
+               tril=False)
     else:
         if beta != 1:
             a *= beta

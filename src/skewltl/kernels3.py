@@ -11,7 +11,8 @@ own leading dimension, as BLIS-style GEMM accumulates into C (Goto and van
 de Geijn, TOMS 2008); cache blocking and any threading are the BLAS's own,
 reached through ``_blas``.  Operands BLAS cannot take (exact scalars, mixed
 dtypes, rows of C that are not unit-strided) are updated in ``NB``-row
-chunks with plain matmuls.
+chunks with plain matmuls.  The rank-2 kernels ``skew_rank2`` and
+``gen_rank2`` of ``kernels2`` run on this sweep with k = 1.
 """
 
 from __future__ import annotations
@@ -83,8 +84,7 @@ def _scale(c, beta, tril=True):
     if not tril:
         c *= beta
         return
-    for j in range(c.shape[1]):
-        c[j + 1:, j] *= beta
+    np.multiply(c, beta, out=c, where=np.tri(*c.shape, k=-1, dtype=bool))
 
 
 def _pack_t(tau, x):
@@ -147,12 +147,7 @@ def skew_tridiag_rankk(c, alpha, a, t: SkewTridiagonal, beta=1, *, fused=True):
     if not fused:
         instrument.add_flops("level3", 2 * k * _lower_entries(n))  # upper half computed and discarded
         full = a.dot(_pack_t(tau, a.T))
-        for j in range(n - 1):
-            col = c[j + 1:, j]
-            if beta == 1:
-                col += alpha * full[j + 1:, j]
-            else:
-                c[j + 1:, j] = beta * col + alpha * full[j + 1:, j]
+        _merge_tile(c, full, alpha, beta, where=np.tri(n, k=-1, dtype=bool))
         return
     _sweep(c, a, lambda jc, j1: _pack_t(tau, a[jc:j1].T), alpha, beta)
 
@@ -221,9 +216,14 @@ def skew_rank2k(c, alpha, a, b, beta=1, *, skip_zero_columns=True):
     if alpha == 0 or keff == 0:
         _scale(c, beta)
         return
-    ak, bk = a[:, keep], b[:, keep]
-    left = np.concatenate((ak, bk), axis=1)
-    _sweep(c, left, lambda jc, j1: np.concatenate((bk[jc:j1], -ak[jc:j1]), axis=1).T,
+    _skew_sweep(c, alpha, a[:, keep], b[:, keep], beta)
+
+
+def _skew_sweep(c, alpha, a, b, beta):
+    """C := beta*C + alpha*(A B^T - B A^T) on the strictly-lower triangle of
+    C, one product [A B] [B -A]^T per block column."""
+    left = np.concatenate((a, b), axis=1)
+    _sweep(c, left, lambda jc, j1: np.concatenate((b[jc:j1], -a[jc:j1]), axis=1).T,
            alpha, beta)
 
 

@@ -301,6 +301,8 @@ def ltlt_unb_panel(x: SkewMatrixLower, panel_width, variant="ll", pivot=False,
         raise InvalidVariant("a pivoted panel factorization must be left-looking")
     if pivot and first_column is not None:
         raise ValueError("first_column is only supported without pivoting")
+    if panel_width < 1:
+        raise ValueError("panel width must be >= 1")
     work, tau = _workbuf(x)
     m = x.m
     nelim = min(panel_width, m - 1)

@@ -11,6 +11,7 @@ from skewltl import _blas
 from skewltl.kernels2 import (apply_row_pivots, gen_rank2,
                               skew_rank2, skew_tridiag_gemv, trapezoid_rank2,
                               tridiag_matvec)
+from skewltl.kernels3 import NB
 
 EPS = np.finfo(float).eps
 RNG = np.random.Generator(np.random.Philox(77))
@@ -18,36 +19,6 @@ RNG = np.random.Generator(np.random.Philox(77))
 
 def lower_of(a):
     return np.tril(a, -1)
-
-
-class WriteCountingArray(np.ndarray):
-    """ndarray that tallies elements written through __setitem__ (shared
-    across views)."""
-
-    def __array_finalize__(self, obj):
-        self.counter = getattr(obj, "counter", None)
-
-    def __setitem__(self, key, value):
-        if self.counter is not None:
-            self.counter[0] += self[key].size
-        super().__setitem__(key, value)
-
-    def __iadd__(self, other):
-        if self.counter is not None:
-            self.counter[0] += self.size
-        return super().__iadd__(other)
-
-    def __imul__(self, other):
-        if self.counter is not None:
-            self.counter[0] += self.size
-        return super().__imul__(other)
-
-
-def counting(arr):
-    view = arr.view(WriteCountingArray)
-    counter = [0]
-    view.counter = counter
-    return view, counter
 
 
 class TestSkewRank2:
@@ -62,15 +33,21 @@ class TestSkewRank2:
         skew_rank2(a, 1.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1.0)
         assert a[1, 0] == -1.0
 
-    @pytest.mark.parametrize("n", [2, 3, 16, 64])
-    def test_against_dense(self, n):
-        a = np.asfortranarray(RNG.standard_normal((n, n)))
-        x = RNG.standard_normal(n)
-        y = RNG.standard_normal(n)
+    # n = 2 NB + 37 spans three block columns of the sweep; with beta != 1
+    # the strips take the chunked path (beta = 1 and BLAS: test_sentinels)
+    @pytest.mark.parametrize("n, dtype", [
+        *(pytest.param(n, np.float64, id=str(n)) for n in (2, 3, 16, 64, 2 * NB + 37)),
+        *(pytest.param(n, dt, id=f"{n}-{np.dtype(dt).name}")
+          for n in (16, 2 * NB + 37) for dt in (np.float32, np.complex128))])
+    def test_against_dense(self, n, dtype):
+        a = np.asfortranarray(random_of(dtype, (n, n), RNG))
+        x = random_of(dtype, n, RNG)
+        y = random_of(dtype, n, RNG)
         alpha, beta = 1.25, 0.5
         want = beta * lower_of(a) + alpha * lower_of(np.outer(x, y) - np.outer(y, x))
         skew_rank2(a, alpha, x, y, beta)
-        assert np.allclose(lower_of(a), want, atol=4 * EPS * n * max(1, np.max(np.abs(want))))
+        eps = np.finfo(dtype).eps
+        assert np.allclose(lower_of(a), want, atol=4 * eps * n * max(1, np.max(np.abs(want))))
 
     def test_exact_antisymmetry(self):
         # reconstructed full update is exactly antisymmetric on exact input
@@ -83,11 +60,28 @@ class TestSkewRank2:
         want = np.outer(x, y) - np.outer(y, x)
         assert np.array_equal(full, want - np.diag(np.diag(want)))
 
-    @pytest.mark.parametrize("n", [2, 5, 17, 64, 130])
-    def test_write_count(self, n):
-        a, counter = counting(np.zeros((n, n), order="F"))
-        skew_rank2(a, 1.0, RNG.standard_normal(n), RNG.standard_normal(n), 1.0)
-        assert counter[0] == n * (n - 1) // 2
+    @pytest.mark.parametrize("n", [2, 5, 17, 64, 130, 2 * NB + 37])
+    def test_sentinels(self, n):
+        # A as the drivers hand it over: a view into a buffer 8 rows taller.
+        # NaN on the diagonal and in the padding rows shows any read of
+        # them; seeded values strictly above the diagonal show any write
+        # (a write leaves a NaN a NaN, bit for bit).  beta = 1 takes the
+        # in-place BLAS strip below each diagonal tile.
+        rng = np.random.Generator(np.random.Philox(n))
+        buf = np.full((n + 8, n), np.nan, order="F")
+        buf[:n] = np.triu(rng.standard_normal((n, n)), 1) + lower_of(rng.standard_normal((n, n)))
+        np.fill_diagonal(buf, np.nan)
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        alpha = 1.25
+        want = lower_of(buf[:n]) + alpha * lower_of(np.outer(x, y) - np.outer(y, x))
+        before = buf.copy(order="F")
+        skew_rank2(buf[:n], alpha, x, y, 1.0)
+        assert np.allclose(lower_of(buf[:n]), want,
+                           atol=4 * EPS * n * max(1, np.max(np.abs(want))))
+        upper = ~np.tri(n + 8, n, k=-1, dtype=bool)
+        upper[n:] = True
+        assert same_bits(buf[upper], before[upper])
+        assert np.isnan(buf[n:]).all() and np.isnan(np.diagonal(buf)).all()
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
@@ -106,15 +100,19 @@ class TestGenRank2:
         gen_rank2(a, 0.5, np.array([3.0]), np.array([4.0]), np.array([5.0]), np.array([6.0]), 1.0)
         assert a[0, 0] == 2.0 + 0.5 * (12.0 + 30.0)
 
-    @pytest.mark.parametrize("fused", [True, False])
-    def test_against_dense(self, fused):
-        p, q = 8, 4
-        a = RNG.standard_normal((p, q))
+    # (2 NB + 37) x (NB + 5) spans two block columns; in F order at
+    # beta = 1 the fused update takes the in-place BLAS path
+    @pytest.mark.parametrize("fused, p, q, beta, order", [
+        *(pytest.param(fused, 8, 4, 0.25, "C", id=str(fused)) for fused in (True, False)),
+        *(pytest.param(fused, 2 * NB + 37, NB + 5, beta, "F", id=f"{fused}-{2 * NB + 37}-{beta}")
+          for fused in (True, False) for beta in (0.25, 1.0))])
+    def test_against_dense(self, fused, p, q, beta, order):
+        a = np.asarray(RNG.standard_normal((p, q)), order=order)
         x, y = RNG.standard_normal(p), RNG.standard_normal(p)
         u, v = RNG.standard_normal(q), RNG.standard_normal(q)
-        want = 0.25 * a + 2.0 * (np.outer(x, u) + np.outer(y, v))
-        got = a.copy()
-        gen_rank2(got, 2.0, x, u, y, v, 0.25, fused=fused)
+        want = beta * a + 2.0 * (np.outer(x, u) + np.outer(y, v))
+        got = a.copy(order="K")
+        gen_rank2(got, 2.0, x, u, y, v, beta, fused=fused)
         assert np.allclose(got, want)
 
 

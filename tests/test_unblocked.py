@@ -225,6 +225,12 @@ class TestPanel:
         with pytest.raises(InvalidVariant):
             ltlt_unb_panel(random_skew(4, seed=0), 2, variant="bordered")
 
+    @pytest.mark.parametrize("width", [-1, 0])
+    @pytest.mark.parametrize("pivot", [False, True])
+    def test_nonpositive_width_rejected(self, width, pivot):
+        with pytest.raises(ValueError):
+            ltlt_unb_panel(random_skew(6, seed=1), width, pivot=pivot)
+
     def test_updates_confined_to_panel(self):
         # columns at or beyond the panel edge keep their original values
         m, b = 10, 4
