@@ -7,11 +7,11 @@ the last transform and folds it into the next iteration's sandwich, 2b has
 each panel compute one extra column of L and T so its sandwich already
 covers a full set of couplings (the same state shifted one column).  The
 two-step driver realizes the 2a sandwich as W = A S plus a skew rank-2k
-whose zero columns are skipped.  These right-looking drivers, pivoted or
-not, run one shared block loop; the schedule table ``_SCHEDULES`` is the
-one place they differ.  The left-looking driver keeps its own loop: it
-pulls all prior couplings into the panel block from the left instead of
-updating the trailing matrix.
+whose zero columns are skipped.  The left-looking driver pulls all prior
+couplings into the panel block from the left instead of updating the
+trailing matrix.  All of them, pivoted or not, run one shared block loop;
+the schedule table ``_SCHEDULES`` is the one place they differ, and each
+panel is factored through the table ``unblocked._PANELS``.
 
 Pivoted factorization exists for the right-looking family only; its panel
 factorization is forced to left-looking because pivoting can pull in
@@ -31,8 +31,7 @@ from .instrument import FlopCounter, counting
 from .kernels2 import apply_row_pivots, skew_rank2, skew_tridiag_gemv
 from .kernels3 import (PANEL_NB, form_w, skew_rank2k, skew_tridiag_gemm,
                        skew_tridiag_rankk)
-from .unblocked import (FactorizationResult, _apply_pending, _finalize,
-                        _panel_ll, _panel_rl, _panel_twostep, _workbuf)
+from .unblocked import _PANELS, FactorizationResult, _finalize, _workbuf
 
 DEFAULT_BLOCK = 256
 PIVOTED_FUSED = ("var1", "var2a", "var2b")
@@ -87,23 +86,13 @@ def _run_panel(work, tau, base, nelim, variant, f, carry, pivots=None):
     transform of the previous block.  With ``pivots`` the panel is the
     pivoted left-looking pass, and its row swaps then reach the older L
     columns in one blocked pass."""
-    climit = base + nelim
-    lo = base - 1 if carry else base
-    kw = dict(fused_l2=f.fused_l2, external_t=f.external_t)
+    if variant not in _PANELS:
+        raise InvalidVariant(f"unknown panel variant {variant!r}")
     with instrument.scope("panel"):
-        if variant == "ll":
-            _panel_ll(work, tau, base, nelim, lo, pivots=pivots, fused_l3=f.fused_l3,
-                      width=PANEL_NB, **kw)
-        elif variant == "rl":
-            if carry:
-                _apply_pending(work, base, climit, fused_l2=f.fused_l2)
-            _panel_rl(work, tau, base, nelim, climit, **kw)
-        elif variant == "twostep":
-            if carry:
-                _apply_pending(work, base, climit, fused_l2=f.fused_l2)
-            _panel_twostep(work, tau, base, nelim, climit, **kw)
-        else:
-            raise InvalidVariant(f"unknown panel variant {variant!r}")
+        _PANELS[variant](work, tau, base, nelim, carry=carry, pivots=pivots,
+                         fused_l2=f.fused_l2, external_t=f.external_t,
+                         fused_l3=f.fused_l3, width=PANEL_NB)
+    lo = base - 1 if carry else base
     if pivots is not None and lo > 0:
         sub = pivots[base + 1: base + nelim + 1]
         if np.any(sub):
@@ -166,17 +155,18 @@ def _split_trailing(work, tau, r, rt, f):
 
 @dataclass(frozen=True)
 class _Schedule:
-    """How one right-looking driver's iterations differ from the others'."""
+    """How one blocked driver's iterations differ from the others'."""
 
     name: str          # driver name in error messages
     extra_first: bool  # the first panel eliminates b + 1 columns (2b)
     carry: bool        # each panel's last transform joins the next sandwich
     straggler: bool    # trailing rank-2 of each panel's last transform (var1)
     rank2k: bool       # sandwich as W = A S plus a skew rank-2k (two-step)
+    left: bool = False  # couplings pulled in from the left, no trailing update
 
 
-#: The one place the right-looking drivers differ; pivoting is the
-#: ``pivot`` argument of the shared loop.
+#: The one place the blocked drivers differ; pivoting is the ``pivot``
+#: argument of the shared loop.
 _SCHEDULES = {
     "var1": _Schedule("blk-var1", extra_first=False, carry=False, straggler=True,
                       rank2k=False),
@@ -186,12 +176,16 @@ _SCHEDULES = {
                        rank2k=False),
     "twostep": _Schedule("blk-2step", extra_first=False, carry=True, straggler=False,
                          rank2k=True),
+    "left": _Schedule("blk-left", extra_first=False, carry=True, straggler=False,
+                      rank2k=False, left=True),
 }
 
 
 def _right_looking(x, b, scheme, panel_variant, features, pivot):
-    """The right-looking block loop: factor a panel, then apply one
-    sandwiched trailing update, as ``_SCHEDULES[scheme]`` directs."""
+    """The block loop of every blocked driver, as ``_SCHEDULES[scheme]``
+    directs: factor a panel, then apply one sandwiched trailing update (or,
+    left-looking, first pull all finished couplings into the panel's block
+    column with one trapezoidal product, and update nothing to its right)."""
     if pivot and scheme not in PIVOTED_FUSED:
         raise InvalidVariant(f"fused must be one of {PIVOTED_FUSED}, got {scheme!r}")
     s = _SCHEDULES[scheme]
@@ -208,12 +202,16 @@ def _right_looking(x, b, scheme, panel_variant, features, pivot):
         while r < m - 1:
             carry = s.carry and r > 0
             be = min(b + 1 if s.extra_first and r == 0 else b, m - 1 - r)
+            if s.left and r >= 2:
+                skew_tridiag_gemm(work[r:, r:r + be], -1, work[r:, 0:r],
+                                  SkewTridiagonal(tau[1:r]), work[r:r + be, 0:r].T,
+                                  1, tril=True, fused=f.fused_l3)
             _run_panel(work, tau, r, be, panel_variant, f, carry, pivots)
             rt = r + be
-            if f.external_t:
-                _apply_couplings(work, tau, r if carry else r + 1, rt, rt, f, s.rank2k)
-            else:
+            if not f.external_t:
                 _split_trailing(work, tau, r, rt, f)
+            elif not s.left:
+                _apply_couplings(work, tau, r if carry else r + 1, rt, rt, f, s.rank2k)
             if s.straggler:
                 _straggler(work, tau, rt)
             r = rt
@@ -258,23 +256,7 @@ def ltlt_blk_left(x: SkewMatrixLower, b=DEFAULT_BLOCK, pivot=False,
     """
     if pivot:
         raise PivotUnsupported("a blocked pivoted left-looking algorithm cannot exist")
-    _check_block(b)
-    f = features or Features()
-    _require_external_t(f, "blk-left")
-    work, tau = _workbuf(x)
-    m = x.m
-    fc = FlopCounter()
-    with counting(fc):
-        r = 0
-        while r < m - 1:
-            be = min(b, m - 1 - r)
-            if r >= 2:
-                skew_tridiag_gemm(work[r:, r:r + be], -1, work[r:, 0:r],
-                                  SkewTridiagonal(tau[1:r]), work[r:r + be, 0:r].T,
-                                  1, tril=True, fused=f.fused_l3)
-            _run_panel(work, tau, r, be, panel_variant, f, carry=r > 0)
-            r += be
-    return _finalize(work, tau, None, m, fc)
+    return _right_looking(x, b, "left", panel_variant, features, pivot=False)
 
 
 def ltlt_blk_twostep(x: SkewMatrixLower, b=DEFAULT_BLOCK, panel_variant="ll",

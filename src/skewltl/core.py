@@ -207,17 +207,14 @@ class UnitLowerFactor:
     @classmethod
     def identity(cls, m, dtype=np.float64):
         buf = np.zeros((m, m), dtype=dtype, order="F")
-        for j in range(1, m):
-            buf[j, j - 1] = 1
+        np.fill_diagonal(buf[1:], 1)
         return cls(buf)
 
     def dense(self):
         m = self.m
         out = np.zeros((m, m), dtype=self.data.dtype)
-        for j in range(m):
-            out[j, j] = 1
-        for j in range(1, m):
-            out[j + 1:, j] = self.data[j + 1:, j - 1]
+        np.copyto(out[:, 1:], self.data[:, :-1], where=np.tri(m, k=-2, dtype=bool)[:, :-1])
+        np.fill_diagonal(out, 1)
         if self.first_column is not None:
             out[1:, 0] = self.first_column
         return out
@@ -360,19 +357,16 @@ def pack_in_place(x: SkewMatrixLower, l: UnitLowerFactor, t: SkewTridiagonal):
     if l.m != m or t.m != m:
         raise ValueError("dimension mismatch")
     buf = x.data
-    for j in range(m - 1):
-        buf[j + 1, j] = t.tau[j]
-        buf[j + 2:, j] = l.data[j + 2:, j]
+    np.copyto(buf, l.data, casting="unsafe", where=np.tri(m, k=-2, dtype=bool))
+    np.fill_diagonal(buf[1:], t.tau)
 
 
 def unpack_in_place(x: SkewMatrixLower):
     """Read (L, T) back out of a packed matrix; exact inverse of pack."""
     m = x.m
     buf = x.data
-    tau = np.zeros(max(m - 1, 0), dtype=buf.dtype)
+    tau = buf.diagonal(-1).copy()
     lbuf = np.zeros((m, m), dtype=buf.dtype, order="F")
-    for j in range(m - 1):
-        tau[j] = buf[j + 1, j]
-        lbuf[j + 1, j] = 1
-        lbuf[j + 2:, j] = buf[j + 2:, j]
+    np.copyto(lbuf, buf, where=np.tri(m, k=-2, dtype=bool))
+    np.fill_diagonal(lbuf[1:], 1)
     return UnitLowerFactor(lbuf, "ones"), SkewTridiagonal(tau)

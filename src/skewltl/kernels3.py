@@ -17,6 +17,8 @@ chunks with plain matmuls.  The rank-2 kernels ``skew_rank2`` and
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import _blas, instrument
@@ -48,17 +50,11 @@ def _lower_entries(n):
     return n * (n - 1) // 2
 
 
-_MASKS = {}
-
-
+@functools.lru_cache(maxsize=256)
 def _tril_mask(shape, k):
-    key = (shape, k)
-    mask = _MASKS.get(key)
-    if mask is None:
-        if len(_MASKS) > 256:
-            _MASKS.clear()
-        mask = np.tril(np.ones(shape, dtype=bool), k=k)
-        _MASKS[key] = mask
+    """Shared, read-only lower-triangle mask; at most 256 are kept."""
+    mask = np.tril(np.ones(shape, dtype=bool), k=k)
+    mask.flags.writeable = False
     return mask
 
 
@@ -190,7 +186,7 @@ def skew_tridiag_gemm(c, alpha, a, t: SkewTridiagonal, b, beta=1, *, tril=False,
     _sweep(c, a, pack, alpha, beta, tril)
 
 
-def skew_rank2k(c, alpha, a, b, beta=1, *, skip_zero_columns=True):
+def skew_rank2k(c, alpha, a, b, beta=1):
     """C := beta*C + alpha*(A B^T - B A^T), strictly-lower triangle of C.
 
     Columns that are identically zero in either factor contribute nothing
@@ -205,10 +201,7 @@ def skew_rank2k(c, alpha, a, b, beta=1, *, skip_zero_columns=True):
     _check_alias(c, a, "a")
     _check_alias(c, b, "b")
     instrument.record_call("skew_rank2k")
-    if skip_zero_columns and k:
-        keep = np.flatnonzero((a != 0).any(axis=0) & (b != 0).any(axis=0))
-    else:
-        keep = np.arange(k)
+    keep = np.flatnonzero((a != 0).any(axis=0) & (b != 0).any(axis=0))
     keff = len(keep)
     instrument.add_flops("level3", 4 * keff * _lower_entries(n))
     if n <= 1:

@@ -1,7 +1,8 @@
 """Unblocked factorization drivers and the panel cores the blocked drivers
 reuse: right-looking (modified Parlett-Reid), left-looking (modified
 Aasen), and the two-step driver that eliminates a pair of columns per
-iteration.
+iteration.  The table ``_PANELS`` holds the three cores under one keyword
+signature; the frame ``_unblocked`` runs one of them as an unblocked driver.
 
 Working layout: the input is copied into a column-major buffer that the
 elimination overwrites column by column.  Once column g is eliminated,
@@ -32,8 +33,6 @@ from .core import (InvalidVariant, PermutationVector, SkewMatrixLower,
 from .instrument import FlopCounter, counting
 from .kernels2 import skew_rank2, skew_tridiag_gemv, trapezoid_rank2
 from .kernels3 import NB, _tril_mask, skew_tridiag_gemm
-
-VARIANTS = ("rl", "ll", "twostep")
 
 
 @dataclass
@@ -85,8 +84,7 @@ def _workbuf(x: SkewMatrixLower):
 
 def _finalize(work, tau, pivots, m, fc, external_t=True, first_column=None):
     if not external_t:
-        for j in range(m - 1):
-            work[j + 1, j] = 1
+        np.fill_diagonal(work[1:], 1)
     if pivots is None:
         p = PermutationVector(np.zeros(0, dtype=np.int64), m)
     else:
@@ -124,14 +122,14 @@ def _eliminate(work, tau, g, external_t, pivots, swap_from):
         work[g + 1, g] = 1
 
 
-def _panel_ll(work, tau, base, nelim, lo, *, pivots=None, fused_l2=True,
-              external_t=True, fused_l3=True, width=1):
+def _panel_ll(work, tau, base, nelim, *, carry=False, climit=None, pivots=None,
+              fused_l2=True, external_t=True, fused_l3=True, width=1):
     """Left-looking eliminations of columns [base, base + nelim).
 
-    ``lo`` is the leftmost buffer column participating in the column
-    updates: lo == base for a fresh panel, lo == base - 1 when the delayed
-    transform of the previous block still has to be folded in.  Each column
-    is updated against the L columns and tau values to its left, then
+    The leftmost column in the column updates is lo == base for a fresh
+    panel, lo == base - 1 with ``carry``, when the delayed transform of the
+    previous block still has to be folded in; ``climit`` is unused.  Each
+    column is updated against the L columns and tau values to its left, then
     pivoted (with ``pivots``), then eliminated; swaps reach columns >= lo.
 
     The columns are taken in inner blocks of ``width`` (1 with pivoting,
@@ -147,6 +145,7 @@ def _panel_ll(work, tau, base, nelim, lo, *, pivots=None, fused_l2=True,
     """
     if pivots is not None or not external_t:
         width = 1
+    lo = base - 1 if carry else base
     end = base + nelim
     for g0 in range(base, end, width):
         g1 = min(g0 + width, end)
@@ -169,11 +168,16 @@ def _panel_ll(work, tau, base, nelim, lo, *, pivots=None, fused_l2=True,
             _eliminate(work, tau, g, external_t, pivots, lo)
 
 
-def _panel_rl(work, tau, base, nelim, climit, *, fused_l2=True, external_t=True,
-              pivots=None):
+def _panel_rl(work, tau, base, nelim, *, carry=False, climit=None, pivots=None,
+              fused_l2=True, external_t=True, fused_l3=True, width=1):
     """Right-looking eliminations of [base, base + nelim) with the trailing
     rank-2 updates restricted to columns < climit (square skew part plus
-    rectangular general part); pivot swaps reach columns >= base."""
+    rectangular general part; default base + nelim); pivot swaps reach
+    columns >= base.  With ``carry`` the delayed coupling of the previous
+    block is applied first."""
+    climit = base + nelim if climit is None else climit
+    if carry:
+        _apply_pending(work, base, climit, fused_l2)
     for g in range(base, base + nelim):
         _eliminate(work, tau, g, external_t, pivots, base)
         s = g + 2
@@ -181,15 +185,19 @@ def _panel_rl(work, tau, base, nelim, climit, *, fused_l2=True, external_t=True,
                         fused=fused_l2)
 
 
-def _panel_twostep(work, tau, base, nelim, climit, *, fused_l2=True,
-                   external_t=True, pivots=None):
+def _panel_twostep(work, tau, base, nelim, *, carry=False, climit=None,
+                   pivots=None, fused_l2=True, external_t=True, fused_l3=True,
+                   width=1):
     """Two-step eliminations of [base, base + nelim): because the diagonal
     partner of the pivot is zero, the transform from column g leaves column
     g+1 untouched, so a pair of transforms comes straight from current data
     and their two couplings collapse into one rank-2 via the splitting
     W = L S.  An odd leftover column falls back to one right-looking step.
-    Pivot swaps reach columns >= base.
+    ``carry`` and ``climit`` act as in ``_panel_rl``; swaps reach columns >= base.
     """
+    climit = base + nelim if climit is None else climit
+    if carry:
+        _apply_pending(work, base, climit, fused_l2)
     m = work.shape[0]
     end = base + nelim
     g = base
@@ -224,6 +232,10 @@ def _apply_pending(work, base, climit, fused_l2=True):
                     fused=fused_l2)
 
 
+#: The panel factorizations by variant name, one keyword signature.
+_PANELS = {"ll": _panel_ll, "rl": _panel_rl, "twostep": _panel_twostep}
+
+
 def _apply_first_column(work, first_column):
     m = work.shape[0]
     fcvec = np.asarray(first_column)
@@ -234,17 +246,36 @@ def _apply_first_column(work, first_column):
     return fcvec
 
 
+def _unblocked(x, variant, pivot, width=None, first_column=None):
+    """The frame of the unblocked drivers: one ``_PANELS[variant]`` pass over
+    the whole matrix, or with ``width`` over its first columns only, in the
+    panel flop scope and with L and the pivots trimmed to the panel."""
+    work, tau = _workbuf(x)
+    m = x.m
+    pivots = np.zeros(m, dtype=np.int64) if pivot else None
+    nelim = m - 1 if width is None else min(width, m - 1)
+    # full: climit m, not m - 1, keeps each rank-2 one square skew_rank2 call
+    climit = m if width is None else min(width, m)
+    fc = FlopCounter()
+    fcvec = None
+    with counting(fc):
+        if first_column is not None:
+            fcvec = _apply_first_column(work, first_column)
+        with instrument.scope("trailing" if width is None else "panel"):
+            _PANELS[variant](work, tau, 0, nelim, climit=climit, pivots=pivots)
+    if width is not None:
+        lbuf = np.zeros_like(work)
+        lbuf[:, :nelim] = work[:, :nelim]
+        work = lbuf
+        pivots = pivots[:nelim + 1] if pivots is not None else None
+    return _finalize(work, tau, pivots, m, fc, first_column=fcvec)
+
+
 def ltlt_unb_rl(x: SkewMatrixLower, pivot=False) -> FactorizationResult:
     """Right-looking (modified Parlett-Reid) factorization: eliminate one
     column per iteration, immediately applying its skew rank-2 update to
     the whole trailing matrix.  Roughly 2m^3/3 flops."""
-    work, tau = _workbuf(x)
-    m = x.m
-    pivots = np.zeros(m, dtype=np.int64) if pivot else None
-    fc = FlopCounter()
-    with counting(fc):
-        _panel_rl(work, tau, 0, m - 1, m, pivots=pivots)
-    return _finalize(work, tau, pivots, m, fc)
+    return _unblocked(x, "rl", pivot)
 
 
 def ltlt_unb_ll(x: SkewMatrixLower, pivot=False, first_column=None) -> FactorizationResult:
@@ -259,16 +290,7 @@ def ltlt_unb_ll(x: SkewMatrixLower, pivot=False, first_column=None) -> Factoriza
     """
     if pivot and first_column is not None:
         raise ValueError("first_column is only supported without pivoting")
-    work, tau = _workbuf(x)
-    m = x.m
-    pivots = np.zeros(m, dtype=np.int64) if pivot else None
-    fc = FlopCounter()
-    fcvec = None
-    with counting(fc):
-        if first_column is not None:
-            fcvec = _apply_first_column(work, first_column)
-        _panel_ll(work, tau, 0, m - 1, 0, pivots=pivots)
-    return _finalize(work, tau, pivots, m, fc, first_column=fcvec)
+    return _unblocked(x, "ll", pivot, first_column=first_column)
 
 
 def ltlt_unb_twostep(x: SkewMatrixLower, pivot=False) -> FactorizationResult:
@@ -276,13 +298,7 @@ def ltlt_unb_twostep(x: SkewMatrixLower, pivot=False) -> FactorizationResult:
     iteration with a single trailing rank-2, halving the flops of the
     plain right-looking driver; both subdiagonal values and both L columns
     of each pair are produced."""
-    work, tau = _workbuf(x)
-    m = x.m
-    pivots = np.zeros(m, dtype=np.int64) if pivot else None
-    fc = FlopCounter()
-    with counting(fc):
-        _panel_twostep(work, tau, 0, m - 1, m, pivots=pivots)
-    return _finalize(work, tau, pivots, m, fc)
+    return _unblocked(x, "twostep", pivot)
 
 
 def ltlt_unb_panel(x: SkewMatrixLower, panel_width, variant="ll", pivot=False,
@@ -295,7 +311,7 @@ def ltlt_unb_panel(x: SkewMatrixLower, panel_width, variant="ll", pivot=False,
     The returned factors are partial: only the first panel_width columns of
     L/T (and pivots) are populated.
     """
-    if variant not in VARIANTS:
+    if variant not in _PANELS:
         raise InvalidVariant(f"unknown panel variant {variant!r}")
     if pivot and variant != "ll":
         raise InvalidVariant("a pivoted panel factorization must be left-looking")
@@ -303,24 +319,4 @@ def ltlt_unb_panel(x: SkewMatrixLower, panel_width, variant="ll", pivot=False,
         raise ValueError("first_column is only supported without pivoting")
     if panel_width < 1:
         raise ValueError("panel width must be >= 1")
-    work, tau = _workbuf(x)
-    m = x.m
-    nelim = min(panel_width, m - 1)
-    climit = min(panel_width, m)
-    pivots = np.zeros(m, dtype=np.int64) if pivot else None
-    fc = FlopCounter()
-    fcvec = None
-    with counting(fc):
-        if first_column is not None:
-            fcvec = _apply_first_column(work, first_column)
-        with instrument.scope("panel"):
-            if variant == "ll":
-                _panel_ll(work, tau, 0, nelim, 0, pivots=pivots)
-            elif variant == "rl":
-                _panel_rl(work, tau, 0, nelim, climit)
-            else:
-                _panel_twostep(work, tau, 0, nelim, climit)
-    lbuf = np.zeros_like(work)
-    lbuf[:, :nelim] = work[:, :nelim]
-    ptrim = pivots[:nelim + 1] if pivots is not None else None
-    return _finalize(lbuf, tau, ptrim, m, fc, first_column=fcvec)
+    return _unblocked(x, variant, pivot, panel_width, first_column)

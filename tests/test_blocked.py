@@ -195,6 +195,18 @@ class TestLeftLooking:
         assert np.allclose(a.t.tau, b.t.tau)
         assert residual(x, a) <= 50 * EPS * m
 
+    def test_trace_pulls_from_the_left_only(self):
+        # one trapezoidal product per block with couplings to its left, and
+        # no update of the trailing matrix
+        m, b = 96, 16
+        tr = instrument.CallTrace()
+        with instrument.tracing(tr):
+            ltlt_blk_left(random_skew(m, seed=27), b=b)
+        assert tr.count("skew_tridiag_rankk") == 0
+        assert tr.count("skew_rank2", "trailing") == 0
+        starts = range(0, m - 1, b)
+        assert tr.count("skew_tridiag_gemm", "trailing") == sum(r >= 2 for r in starts)
+
 
 class TestTwoStepBlocked:
     def test_zero_tau_panel_noop_trailing(self):

@@ -231,6 +231,11 @@ class TestPanel:
         with pytest.raises(ValueError):
             ltlt_unb_panel(random_skew(6, seed=1), width, pivot=pivot)
 
+    def test_first_column_conflict_checked_before_width(self):
+        with pytest.raises(ValueError, match="first_column"):
+            ltlt_unb_panel(random_skew(6, seed=1), -1, pivot=True,
+                           first_column=np.zeros(5))
+
     def test_updates_confined_to_panel(self):
         # columns at or beyond the panel edge keep their original values
         m, b = 10, 4
