@@ -86,8 +86,6 @@ def _run_panel(work, tau, base, nelim, variant, f, carry, pivots=None):
     transform of the previous block.  With ``pivots`` the panel is the
     pivoted left-looking pass, and its row swaps then reach the older L
     columns in one blocked pass."""
-    if variant not in _PANELS:
-        raise InvalidVariant(f"unknown panel variant {variant!r}")
     with instrument.scope("panel"):
         _PANELS[variant](work, tau, base, nelim, carry=carry, pivots=pivots,
                          fused_l2=f.fused_l2, external_t=f.external_t,
@@ -193,6 +191,8 @@ def _right_looking(x, b, scheme, panel_variant, features, pivot):
     f = features or Features()
     if s.carry:
         _require_external_t(f, ("pivoted " if pivot else "") + s.name)
+    if panel_variant not in _PANELS:
+        raise InvalidVariant(f"unknown panel variant {panel_variant!r}")
     work, tau = _workbuf(x)
     m = x.m
     pivots = np.zeros(m, dtype=np.int64) if pivot else None

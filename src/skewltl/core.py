@@ -215,7 +215,7 @@ class UnitLowerFactor:
         out = np.zeros((m, m), dtype=self.data.dtype)
         np.copyto(out[:, 1:], self.data[:, :-1], where=np.tri(m, k=-2, dtype=bool)[:, :-1])
         np.fill_diagonal(out, 1)
-        if self.first_column is not None:
+        if self.first_column is not None and m:
             out[1:, 0] = self.first_column
         return out
 

@@ -4,8 +4,11 @@ Aasen), and the two-step driver that eliminates a pair of columns per
 iteration.  The table ``_PANELS`` holds the three cores under one keyword
 signature; the frame ``_unblocked`` runs one of them as an unblocked driver.
 
-Working layout: the input is copied into a column-major buffer that the
-elimination overwrites column by column.  Once column g is eliminated,
+Working layout: the input's strictly-lower part is copied into a zeroed
+column-major buffer that the elimination overwrites column by column; the
+input is not read on or above its diagonal.  The buffer is returned as
+``L.data``; on and above its diagonal it is not part of L: today it holds
+zeros, but a later driver may use it as scratch.  Once column g is eliminated,
 buffer column g holds column g+1 of L shifted one column left (with an
 explicit 1.0 in the subdiagonal slot once tau[g] has moved to the external
 vector), so a finished panel is directly consumable as the A operand of the
@@ -48,38 +51,33 @@ class FactorizationResult:
     flops: FlopCounter
 
 
-def _check_finite(work):
-    """Raise ValueError at the first NaN or infinity below the diagonal.
-
-    Scans NB columns at a time, so the temporary is m x NB, never m x m.
-    Entries at or above the diagonal are not read; exact (object dtype)
-    scalars are not checked.
-    """
-    if work.dtype == object:
-        return
-    m = work.shape[0]
-    for j0 in range(0, m, NB):
-        bad = ~np.isfinite(work[j0:, j0:j0 + NB])
-        top = bad[:NB]
-        top &= _tril_mask(top.shape, -1)
-        if bad.any():
-            j, i = np.argwhere(bad.T)[0]
-            raise ValueError(f"non-finite input entry at ({j0 + i}, {j0 + j})")
-
-
 def _workbuf(x: SkewMatrixLower):
-    """Working copy of ``x`` (padded leading dimension, see the module
-    docstring) and a zeroed tau vector."""
-    if x.m < 1:
-        raise ValueError("m >= 1 required")
+    """Working copy of ``x`` (see the module docstring) and a zeroed tau
+    vector, in one pass over the input's strictly-lower part: each block
+    column of NB is copied, then scanned, so the first NaN or infinity in
+    column-major order raises ValueError; exact (object dtype) scalars are
+    not checked.  Integer and boolean inputs raise TypeError."""
+    src = x.data
+    if src.dtype.kind in "biu":
+        raise TypeError(f"input dtype {src.dtype} is not supported: pass a "
+                        "floating-point, complex or object array")
     m = x.m
-    itemsize = x.data.dtype.itemsize
+    if m < 1:
+        raise ValueError("m >= 1 required")
+    itemsize = src.dtype.itemsize
     ld = m + max(1, 64 // itemsize) if (m * itemsize) % 4096 == 0 else m
-    work = np.empty((ld, m), dtype=x.data.dtype, order="F")[:m]
-    work[...] = x.data
-    _check_finite(work)
-    tau = np.zeros(m - 1, dtype=work.dtype)
-    return work, tau
+    work = np.zeros((ld, m), dtype=src.dtype, order="F")[:m]
+    for j0 in range(0, m, NB):
+        j1 = min(j0 + NB, m)
+        np.copyto(work[j0:j1, j0:j1], src[j0:j1, j0:j1],
+                  where=_tril_mask((j1 - j0, j1 - j0), -1))
+        work[j1:, j0:j1] = src[j1:, j0:j1]
+        if work.dtype != object:
+            bad = ~np.isfinite(work[j0:, j0:j1])
+            if bad.any():
+                j, i = np.argwhere(bad.T)[0]
+                raise ValueError(f"non-finite input entry at ({j0 + i}, {j0 + j})")
+    return work, np.zeros(m - 1, dtype=work.dtype)
 
 
 def _finalize(work, tau, pivots, m, fc, external_t=True, first_column=None):
@@ -264,9 +262,7 @@ def _unblocked(x, variant, pivot, width=None, first_column=None):
         with instrument.scope("trailing" if width is None else "panel"):
             _PANELS[variant](work, tau, 0, nelim, climit=climit, pivots=pivots)
     if width is not None:
-        lbuf = np.zeros_like(work)
-        lbuf[:, :nelim] = work[:, :nelim]
-        work = lbuf
+        work[:, nelim:] = 0
         pivots = pivots[:nelim + 1] if pivots is not None else None
     return _finalize(work, tau, pivots, m, fc, first_column=fcvec)
 

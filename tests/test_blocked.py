@@ -10,8 +10,8 @@ import pytest
 from skewltl import (Features, PivotUnsupported, SkewMatrixLower, ZeroPivot,
                      ltlt_blk_left, ltlt_blk_piv, ltlt_blk_twostep,
                      ltlt_blk_var1, ltlt_blk_var2a, ltlt_blk_var2b,
-                     ltlt_unb_ll, ltlt_unb_rl, ltlt_unb_twostep, random_skew,
-                     reconstruct)
+                     ltlt_unb_ll, ltlt_unb_rl, ltlt_unb_twostep, pfaffian,
+                     random_skew, reconstruct, solve)
 from skewltl import blocked, instrument
 from skewltl.cli import VARIANT_NAMES, run_variant
 from skewltl.core import (InvalidVariant, SkewTridiagonal, UnitLowerFactor,
@@ -337,6 +337,63 @@ class TestNonFinite:
         x.data[11, 23] = np.nan
         r = ltlt_blk_piv(x, b=8)
         assert np.all(np.isfinite(r.t.tau))
+
+    @pytest.mark.parametrize("pivot", [False, True])
+    def test_rejected_past_first_block(self, pivot):
+        # (550, 300) lies in the second NB block column and block row
+        x = random_skew(600, seed=30)
+        x.data[550, 300] = np.nan
+        x.data[599, 598] = np.inf
+        with pytest.raises(ValueError, match=r"\(550, 300\)"):
+            run_variant("blk-var2b", x, block=64, pivot=pivot)
+
+
+class TestInputPass:
+    """Every argument is checked before the input is read, and the one
+    pass over the input copies its strictly-lower part only."""
+
+    @pytest.mark.parametrize("blk", BLOCKED)
+    def test_unknown_panel_variant_at_m1(self, blk):
+        with pytest.raises(InvalidVariant, match="bordered"):
+            blk(random_skew(1), panel_variant="bordered")
+
+    def test_unknown_panel_variant_before_nonfinite(self):
+        x = random_skew(8, seed=1)
+        x.data[5, 2] = np.nan
+        with pytest.raises(InvalidVariant):
+            ltlt_blk_var2b(x, b=4, panel_variant="bordered")
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.bool_])
+    @pytest.mark.parametrize("run", [
+        lambda x: ltlt_blk_var2b(x, b=2),
+        lambda x: ltlt_blk_piv(x, b=2),
+        ltlt_unb_ll,
+        pfaffian,
+        lambda x: solve(x, np.ones(x.m)),
+    ], ids=["var2b", "piv", "unb_ll", "pfaffian", "solve"])
+    def test_integer_and_bool_rejected(self, run, dtype):
+        x = SkewMatrixLower(np.tril(np.ones((4, 4)), -1).astype(dtype, order="F"))
+        name = np.dtype(dtype).name
+        with pytest.raises(TypeError, match=rf"input dtype {name} is not supported"):
+            run(x)
+
+    @pytest.mark.parametrize("factor", [
+        lambda x: ltlt_blk_var2b(x, b=64),
+        lambda x: ltlt_blk_piv(x, b=64, fused="var2b"),
+    ], ids=["var2b", "piv"])
+    def test_layout_and_upper_triangle_ignored(self, factor):
+        # 600 > NB: the copy runs over more than one block column
+        x = random_skew(600, seed=32)
+        c_order = SkewMatrixLower(np.ascontiguousarray(x.data))
+        nan_upper = x.copy()
+        nan_upper.data[np.triu_indices(600)] = np.nan
+        ref = factor(x)
+        assert not np.triu(ref.l.data).any()
+        for y in (c_order, nan_upper):
+            r = factor(y)
+            assert np.array_equal(r.t.tau, ref.t.tau)
+            assert np.array_equal(r.p.pivots, ref.p.pivots)
+            assert r.l.data.tobytes() == ref.l.data.tobytes()
 
 
 class TestFeatures:

@@ -259,6 +259,10 @@ class TestUnitLowerFactor:
         d = l.dense()
         assert np.array_equal(d[:, 0], [1.0, 0.5, -0.25])
 
+    def test_empty_with_first_column(self):
+        d = UnitLowerFactor(np.zeros((0, 0)), first_column=np.zeros(0)).dense()
+        assert d.shape == (0, 0)
+
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             UnitLowerFactor(np.zeros((2, 2)), mode="diag")
