@@ -7,14 +7,16 @@ import numpy as np
 
 from .blocked import DEFAULT_BLOCK, _check_block, ltlt_blk_piv
 from .core import SingularT, SkewMatrixLower, compose_permutation
+from .unblocked import _check_dtype
 
 
 def _factor(x, b, needed):
-    """Check the block size b, then factor x when ``needed`` with
+    """Check b and x's dtype, then factor x when ``needed`` with
     ``ltlt_blk_piv(fused="var2b")`` at block b (default min(DEFAULT_BLOCK,
     m)), looked up in this module when called so a wrapper on it sees it."""
     if b is not None:
         _check_block(b)
+    _check_dtype(x)
     if needed:
         return ltlt_blk_piv(x, b=min(DEFAULT_BLOCK, x.m) if b is None else b,
                             fused="var2b")

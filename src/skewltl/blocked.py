@@ -139,9 +139,8 @@ def _split_trailing(work, tau, r, rt, f):
         l43 = work[rt + 1:, rt - 1]
         x43 = work[rt + 1:, rt]
         tau32 = tau[rt - 1]
-        skew_tridiag_gemv(x43, -1, work[:, r:rt - 1],
-                          SkewTridiagonal(tau[r + 1:rt - 1]), l32, 1,
-                          fused=f.fused_l2, tail_from=rt + 1)
+        skew_tridiag_gemv(x43, -1, l42, SkewTridiagonal(tau[r + 1:rt - 1]), l32, 1,
+                          fused=f.fused_l2)
         if l32.size and x43.size:
             x43 -= (tau32 * l32[-1]) * l43
             x43 += tau32 * l42[:, -1]

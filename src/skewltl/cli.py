@@ -15,7 +15,6 @@ import statistics
 import sys
 import tempfile
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -190,11 +189,8 @@ def cmd_bench(args):
         return _fail(f"--reps must be >= 1, got {args.reps}")
     # (CSV label, variant, features) per configuration
     if args.opt_ladder:
-        configs = []
-        for step, feats in LADDER.items():
-            if args.pivot and not feats.external_t:
-                feats = replace(feats, external_t=True)
-            configs.append((f"{LADDER_VARIANT[step]}+{step}", LADDER_VARIANT[step], feats))
+        configs = [(f"{LADDER_VARIANT[step]}+{step}", LADDER_VARIANT[step], feats)
+                   for step, feats in LADDER.items()]
     else:
         configs = [(v, v, None) for v in variants]
     out = open(args.out, "w") if args.out else sys.stdout

@@ -277,10 +277,18 @@ def compose_permutation(p: PermutationVector) -> np.ndarray:
     Equivalent to applying P(pi_0), then P(pi_1) on the trailing subvector,
     and so on.
     """
-    idx = np.arange(p.m)
-    for k, off in enumerate(p.pivots):
+    return _swap_order(p.pivots, p.m)
+
+
+def _swap_order(pivots, n):
+    """``compose_permutation`` of the offsets ``pivots`` on n rows; raises
+    IndexError on an offset that leaves [k, n)."""
+    idx = np.arange(n)
+    for k, off in enumerate(pivots):
         if off:
             j = k + off
+            if j >= n or off < 0:
+                raise IndexError("pivot out of range")
             idx[k], idx[j] = idx[j], idx[k]
     return idx
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import _blas, instrument
-from .core import SkewTridiagonal
-from .kernels3 import _skew_sweep, _sweep
+from .core import SkewTridiagonal, _swap_order, invert_permutation
+from .kernels3 import _pack_t, _skew_sweep, _sweep
 
 
 def get_workers():
@@ -65,55 +65,36 @@ def gen_rank2(a, alpha, x, u, y, v, beta=1, fused=True):
         a += alpha * np.outer(y, v)
 
 
-def tridiag_matvec(tau, x):
-    """z = T x for the skew tridiagonal with subdiagonal tau (len(x)-1)."""
-    k = len(x)
-    if len(tau) != max(k - 1, 0):
-        raise ValueError("dimension mismatch")
-    same = not k or tau.dtype == x.dtype
-    z = np.empty(k, dtype=x.dtype if same else np.result_type(tau.dtype, x.dtype))
-    if k:
-        z[0] = 0
-    if k > 1:
-        np.multiply(tau, x[:-1], out=z[1:])
-        z[:-1] -= tau * x[1:]
-    return z
+def skew_tridiag_gemv(y, alpha, a, t: SkewTridiagonal, x, beta=1, fused=True):
+    """y := beta*y + alpha * A (T x), with one row of ``a`` per entry of y
+    (a caller inside a larger buffer passes the strided view of its rows).
 
-
-def skew_tridiag_gemv(y, alpha, a, t: SkewTridiagonal, x, beta=1, fused=True,
-                      tail_from=0):
-    """y := beta*y + alpha * (A (T x))[tail_from:].
-
-    The tridiagonal multiply is a cheap O(k) pass over x; with
-    ``fused=False`` T is materialized densely first (ladder baseline).
-
-    ``tail_from`` selects the rows of A that take part, so a caller can
-    hand over a full-height view of its buffer; only rows from
-    ``tail_from`` on are read and counted.
+    The tridiagonal multiply is a cheap O(k) pass over x, in the dtype of
+    tau and x together; with ``fused=False`` T is materialized densely first
+    (ladder baseline).
     """
     p, k = a.shape
-    rows = p - tail_from
-    if t.m != k or len(x) != k or len(y) != rows or rows < 0:
+    if t.m != k or len(x) != k or len(y) != p:
         raise ValueError("dimension mismatch")
     instrument.record_call("skew_tridiag_gemv")
-    instrument.add_flops("level2", 2 * rows * k + 4 * k)
+    instrument.add_flops("level2", 2 * p * k + 4 * k)
     if alpha == 0:
         if beta != 1:
             y *= beta
         return
     if fused:
-        z = tridiag_matvec(t.tau, x)
+        z = _pack_t(t.tau, x.astype(np.result_type(t.tau, x), copy=False))
     else:
         z = t.dense().dot(np.asarray(x))
         instrument.add_flops("level2", 2 * k * k)
-    if rows == 0:
+    if p == 0:
         return
     if fused:
-        # matmul hands the strided tail to gemv with its leading dimension;
+        # matmul hands a strided view to gemv with its leading dimension;
         # .dot would first copy it (the unfused baseline keeps .dot)
-        acc = a[tail_from:] @ z
+        acc = a @ z
     else:
-        acc = a[tail_from:].dot(z)
+        acc = a.dot(z)
     if beta == 1 and alpha == -1:
         y -= acc
     elif beta == 1:
@@ -133,40 +114,29 @@ def apply_row_pivots(block, p, forward=True):
     """
     n, q = block.shape if block.ndim == 2 else (block.shape[0], 1)
     pivots = p.pivots if hasattr(p, "pivots") else np.asarray(p)
-    idx = np.arange(n)
-    for k, off in enumerate(pivots):
-        if off:
-            j = k + off
-            if j >= n or off < 0:
-                raise IndexError("pivot out of range")
-            idx[k], idx[j] = idx[j], idx[k]
+    idx = _swap_order(pivots, n)
     rows = np.flatnonzero(idx != np.arange(n))
     instrument.record_call("apply_row_pivots")
     instrument.add_flops("pivot", rows.size * q)
     if not rows.size or not q or _blas.laswp(block, pivots, forward):
         return
     if not forward:
-        inv = np.empty_like(idx)
-        inv[idx] = np.arange(n)
-        idx = inv
+        idx = invert_permutation(idx)
     block[rows] = block[idx[rows]]
 
 
-def trapezoid_rank2(buf, start, climit, alpha, x, y, fused=True):
-    """Apply alpha*(x y^T - y x^T) to rows/cols [start, n) of ``buf``,
-    restricted to columns < climit: a square skew part on [start, climit)
-    plus the general rectangle below it.  Writes never touch positions at
-    or above the diagonal.
+def trapezoid_rank2(c, alpha, x, y, fused=True):
+    """Apply alpha*(x y^T - y x^T) to the lower trapezoid ``c`` (p x q,
+    q <= p): a skew part on its top q x q square plus the general rectangle
+    below it.  Writes never touch positions at or above the square's
+    diagonal.
 
     Realized as a square skew_rank2 plus a rectangular gen_rank2 rather
-    than a bespoke trapezoid kernel.  x and y are indexed from ``start``.
+    than a bespoke trapezoid kernel.  x and y have one entry per row of c.
     """
-    n = buf.shape[0]
-    climit = min(climit, n)
-    nsq = climit - start
-    if nsq <= 0:
+    p, q = c.shape
+    if q == 0:
         return
-    skew_rank2(buf[start:climit, start:climit], alpha, x[:nsq], y[:nsq], 1)
-    if climit < n:
-        gen_rank2(buf[climit:, start:climit], alpha, x[nsq:], y[:nsq], -y[nsq:], x[:nsq], 1,
-                  fused=fused)
+    skew_rank2(c[:q], alpha, x[:q], y[:q], 1)
+    if q < p:
+        gen_rank2(c[q:], alpha, x[q:], y[:q], -y[q:], x[:q], 1, fused=fused)

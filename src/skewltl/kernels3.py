@@ -84,12 +84,13 @@ def _scale(c, beta, tril=True):
 
 
 def _pack_t(tau, x):
-    """T X for the skew tridiagonal T with subdiagonal tau (X has k rows)."""
+    """T X in X's dtype for the skew tridiagonal T with subdiagonal tau (X: k rows or k-vector)."""
     k = x.shape[0]
     out = np.zeros(x.shape, dtype=x.dtype)
     if k > 1:
-        out[1:] = tau[:, None] * x[:-1]
-        out[:-1] -= tau[:, None] * x[1:]
+        tau = tau.reshape((k - 1,) + (1,) * (x.ndim - 1))
+        out[1:] = tau * x[:-1]
+        out[:-1] -= tau * x[1:]
     return out
 
 

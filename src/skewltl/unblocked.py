@@ -51,16 +51,20 @@ class FactorizationResult:
     flops: FlopCounter
 
 
+def _check_dtype(x: SkewMatrixLower):
+    if x.data.dtype.kind in "biu":
+        raise TypeError(f"input dtype {x.data.dtype} is not supported: pass a "
+                        "floating-point, complex or object array")
+
+
 def _workbuf(x: SkewMatrixLower):
     """Working copy of ``x`` (see the module docstring) and a zeroed tau
     vector, in one pass over the input's strictly-lower part: each block
     column of NB is copied, then scanned, so the first NaN or infinity in
     column-major order raises ValueError; exact (object dtype) scalars are
     not checked.  Integer and boolean inputs raise TypeError."""
+    _check_dtype(x)
     src = x.data
-    if src.dtype.kind in "biu":
-        raise TypeError(f"input dtype {src.dtype} is not supported: pass a "
-                        "floating-point, complex or object array")
     m = x.m
     if m < 1:
         raise ValueError("m >= 1 required")
@@ -160,9 +164,9 @@ def _panel_ll(work, tau, base, nelim, *, carry=False, climit=None, pivots=None,
                 else:
                     xrow = work[g, left:g].copy()
                     xrow[-1] = 1
-                skew_tridiag_gemv(work[g + 1:, g], -1, work[:, left:g],
+                skew_tridiag_gemv(work[g + 1:, g], -1, work[g + 1:, left:g],
                                   SkewTridiagonal(tau[left + 1:g]), xrow, 1,
-                                  fused=fused_l2, tail_from=g + 1)
+                                  fused=fused_l2)
             _eliminate(work, tau, g, external_t, pivots, lo)
 
 
@@ -179,7 +183,7 @@ def _panel_rl(work, tau, base, nelim, *, carry=False, climit=None, pivots=None,
     for g in range(base, base + nelim):
         _eliminate(work, tau, g, external_t, pivots, base)
         s = g + 2
-        trapezoid_rank2(work, s, climit, 1, work[s:, g], work[s:, g + 1],
+        trapezoid_rank2(work[s:, s:climit], 1, work[s:, g], work[s:, g + 1],
                         fused=fused_l2)
 
 
@@ -202,7 +206,7 @@ def _panel_twostep(work, tau, base, nelim, *, carry=False, climit=None,
     while g < end:
         if g + 1 >= end:
             _eliminate(work, tau, g, external_t, pivots, base)
-            trapezoid_rank2(work, g + 2, climit, 1, work[g + 2:, g],
+            trapezoid_rank2(work[g + 2:, g + 2:climit], 1, work[g + 2:, g],
                             work[g + 2:, g + 1], fused=fused_l2)
             g += 1
             continue
@@ -218,7 +222,7 @@ def _panel_twostep(work, tau, base, nelim, *, carry=False, climit=None,
             # nonzero column of L S for this pair
             wv = work[s:, g + 2] - tau[g + 1] * lcol1
             instrument.add_flops("level2", 6 * max(m - s, 0))
-            trapezoid_rank2(work, s, climit, -1, wv, lcol2, fused=fused_l2)
+            trapezoid_rank2(work[s:, s:climit], -1, wv, lcol2, fused=fused_l2)
         g += 2
 
 
@@ -226,7 +230,7 @@ def _apply_pending(work, base, climit, fused_l2=True):
     """Apply the delayed coupling of the previous block, restricted to
     columns < climit: pairs L column ``base`` with current column data."""
     s = base + 1
-    trapezoid_rank2(work, s, climit, 1, work[s:, base - 1], work[s:, base],
+    trapezoid_rank2(work[s:, s:climit], 1, work[s:, base - 1], work[s:, base],
                     fused=fused_l2)
 
 

@@ -219,6 +219,18 @@ class TestSolve:
         assert y.dtype == np.linalg.solve(np.zeros((0, 0)), b).dtype
 
 
+@pytest.mark.parametrize("m", [0, 3])
+@pytest.mark.parametrize("dtype", [np.int64, np.bool_])
+@pytest.mark.parametrize("call", [lambda x: pfaffian(x),
+                                  lambda x: solve(x, np.ones(x.m))],
+                         ids=["pfaffian", "solve"])
+def test_integer_and_bool_rejected_without_factorization(call, dtype, m):
+    # sizes whose answer needs no factorization still check the dtype
+    x = SkewMatrixLower(np.zeros((m, m), dtype=dtype))
+    with pytest.raises(TypeError, match=rf"input dtype {np.dtype(dtype).name} "):
+        call(x)
+
+
 def gepp_tridiag(tau, rhs):
     """Reference for ``_tridiag_solve``: T y = rhs by Gaussian elimination
     with partial pivoting written out row by row, the order ``?gtsv`` uses

@@ -12,7 +12,7 @@ from skewltl import (Features, PivotUnsupported, SkewMatrixLower, ZeroPivot,
                      ltlt_blk_var1, ltlt_blk_var2a, ltlt_blk_var2b,
                      ltlt_unb_ll, ltlt_unb_rl, ltlt_unb_twostep, pfaffian,
                      random_skew, reconstruct, solve)
-from skewltl import blocked, instrument
+from skewltl import blocked, instrument, unblocked
 from skewltl.cli import VARIANT_NAMES, run_variant
 from skewltl.core import (InvalidVariant, SkewTridiagonal, UnitLowerFactor,
                           compose_permutation)
@@ -306,6 +306,26 @@ class TestPatchPoints:
         calls = _recorder(monkeypatch, blocked, kernel)
         run(random_skew(40, seed=5))
         assert calls
+
+    @pytest.mark.parametrize("run", [
+        lambda x: ltlt_blk_var2b(x, b=8),
+        lambda x: ltlt_blk_piv(x, b=8, fused="var2b"),
+        lambda x: ltlt_blk_var1(x, b=8, features=Features(external_t=False)),
+        ltlt_unb_ll,
+    ], ids=["var2b", "piv-var2b", "var1-split", "unb-ll"])
+    def test_gemv_gets_only_its_rows(self, monkeypatch, run):
+        # every matrix-vector product is handed exactly the rows it updates
+        shapes = []
+        for module in (unblocked, blocked):
+            orig = module.skew_tridiag_gemv
+
+            def record(y, alpha, a, *args, orig=orig, **kwargs):
+                shapes.append((a.shape[0], len(y)))
+                return orig(y, alpha, a, *args, **kwargs)
+
+            monkeypatch.setattr(module, "skew_tridiag_gemv", record)
+        run(random_skew(40, seed=5))
+        assert shapes and all(rows == n for rows, n in shapes)
 
     @pytest.mark.parametrize("driver", BLOCKED + [ltlt_blk_piv],
                              ids=lambda fn: fn.__name__)

@@ -173,6 +173,16 @@ class TestBench:
         steps = [r["variant"] for r in rows]
         assert steps == [f"blk-var1+step{i}" for i in range(5)] + ["blk-var2b+step5"]
 
+    def test_pivoted_opt_ladder_runs_each_step(self, capsys):
+        # each step keeps its own features: step1 splits the trailing
+        # update, step3 keeps tau external
+        code, out, _ = run(capsys, "bench", "--size", "64", "--block", "8",
+                           "--reps", "1", "--opt-ladder", "--pivot")
+        assert code == 0
+        rows = {r["variant"]: (r["flops_l2"], r["flops_l3"]) for r in
+                csv.DictReader(io.StringIO("\n".join(out.strip().splitlines()[1:])))}
+        assert rows["blk-var1+step1"] != rows["blk-var1+step3"]
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "bench.csv"
         code, _, _ = run(capsys, "bench", "--size", "32", "--block", "8",
