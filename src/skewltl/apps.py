@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _blas
 from .blocked import DEFAULT_BLOCK, _check_block, ltlt_blk_piv
 from .core import SingularT, SkewMatrixLower, compose_permutation
 from .unblocked import _check_dtype
@@ -61,6 +62,8 @@ def _tridiag_solve(tau, rhs, tol_scale=10.0):
     """Solve T y = rhs for the skew tridiagonal T (subdiagonal tau) with one
     LAPACK ``?gtsv``: Gaussian elimination with partial pivoting, a row swap
     wherever |subdiagonal| > |diagonal| (|re| + |im| for complex data).
+    ``_blas.gtsv`` calls numpy's OpenBLAS; scipy's wrapper runs only where
+    it declines (longdouble, or a numpy build without the symbol).
 
     Raises SingularT at the first row whose pivot, the diagonal of U, is at
     or below tol_scale eps max|tau|; m = 1 (T = 0) raises at row 0.
@@ -72,14 +75,20 @@ def _tridiag_solve(tau, rhs, tol_scale=10.0):
     x = np.array(rhs, dtype=dt, order="F")
     if x.shape[0] != m:
         raise ValueError("dimension mismatch")
-    if m == 1:  # scipy's ?gtsv wrapper rejects an empty subdiagonal
+    if m == 1:  # T = 0, and the threshold's max over an empty tau has no value
         raise SingularT(f"tridiagonal pivot {dt.type(0)!r} at row 0")
-    from scipy.linalg import get_lapack_funcs
-
+    if not x.size:  # ?gtsv needs a column to write: check T on a zero one
+        _tridiag_solve(tau, np.zeros(m, dtype=dt), tol_scale)
+        return x
     sub = np.array(tau, dtype=dt)
     thresh = tol_scale * np.finfo(float).eps * float(np.max(np.abs(sub)))
-    gtsv, = get_lapack_funcs(("gtsv",), dtype=dt)
-    _, d, _, x, info = gtsv(sub, np.zeros(m, dtype=dt), -sub, x, overwrite_b=True)
+    d = np.zeros(m, dtype=dt)
+    info = _blas.gtsv(sub, d, -sub, x)
+    if info is None:
+        from scipy.linalg import get_lapack_funcs
+
+        gtsv, = get_lapack_funcs(("gtsv",), dtype=dt)
+        _, d, _, x, info = gtsv(sub, d, -sub, x, overwrite_b=True)
     # info > 0: the pivot of row info - 1 is exactly zero and d past it is stale
     small = np.flatnonzero(np.abs(d[:info or m]) <= thresh)
     if small.size:
@@ -87,20 +96,34 @@ def _tridiag_solve(tau, rhs, tol_scale=10.0):
     return x
 
 
+def _unit_lower_solve(l11, z, trans):
+    """z := L11^-1 z (L11^-T z when ``trans``) in place, for the unit lower
+    L11 whose strictly-lower part alone is read: one ``_blas.trsm``, or
+    scipy's ``solve_triangular`` where it declines."""
+    if not _blas.trsm(l11, z, trans):
+        from scipy.linalg import solve_triangular
+
+        # scipy solves the transposed system for an A that is not
+        # F-contiguous, which rounds differently
+        z[:] = solve_triangular(np.asfortranarray(l11), z, trans="T" if trans else "N",
+                                lower=True, unit_diagonal=True, check_finite=False)
+
+
 def solve(x: SkewMatrixLower, b, block=None, tol_scale=10.0):
     """Solve X y = b through the pivoted factorization (fused scheme var2b):
     permute, unit-lower solve, tridiagonal solve (one ``?gtsv``), transposed
-    unit-lower solve, permute back.  The triangular solves use L's stored
-    block ``l.data[1:, :-1]`` (L = diag(1, L11): ``ltlt_blk_piv`` sets no first
-    column) and never read the buffer above its diagonal.  b is a
-    vector of length m or an m x k array whose columns are right-hand sides
-    (solved together); any other shape raises ValueError.  The result is
-    complex when X or b is, float64 otherwise; m = 0 gives an empty result
-    of b's shape; a non-finite b raises ValueError.  Raises SingularT for
-    (numerically) singular X, which includes every odd m.
+    unit-lower solve, permute back.  The triangular solves are ``?trsm``
+    calls on L's stored block ``l.data[1:, :-1]`` (L = diag(1, L11):
+    ``ltlt_blk_piv`` sets no first column), passed as a view with the
+    buffer's leading dimension and converted only when the solve dtype
+    differs from L's (complex b with real X); the buffer above its diagonal
+    is never read.  b is a vector of length m or an m x k array whose
+    columns are right-hand sides (solved together); any other shape raises
+    ValueError.  The result is complex when X or b is, float64 otherwise;
+    m = 0 gives an empty result of b's shape; a non-finite b raises
+    ValueError.  Raises SingularT for (numerically) singular X, which
+    includes every odd m.
     """
-    from scipy.linalg import solve_triangular
-
     m = x.m
     b = np.asarray(b)
     if b.ndim not in (1, 2) or b.shape[0] != m:
@@ -113,13 +136,14 @@ def solve(x: SkewMatrixLower, b, block=None, tol_scale=10.0):
     one_d = b.ndim == 1
     rhs = b[:, None] if one_d else b
     perm = compose_permutation(res.p)
-    z = rhs[perm]
-    l11 = np.array(res.l.data[1:, :-1], dtype=dt, order="F")
-    z[1:] = solve_triangular(l11, z[1:], lower=True, unit_diagonal=True,
-                             check_finite=False)
+    # perm is in range, and mode="clip" writes into out without a buffer
+    z = np.take(rhs, perm, axis=0, out=np.empty(rhs.shape, dtype=dt, order="F"), mode="clip")
+    l11 = res.l.data[1:, :-1]
+    if l11.dtype != dt:
+        l11 = l11.astype(dt, order="F")
+    _unit_lower_solve(l11, z[1:], trans=False)
     z = _tridiag_solve(res.t.tau, z, tol_scale=tol_scale)
-    z[1:] = solve_triangular(l11, z[1:], trans="T", lower=True, unit_diagonal=True,
-                             check_finite=False)
+    _unit_lower_solve(l11, z[1:], trans=True)
     out = np.empty_like(z)
     out[perm] = z
     return out.ravel() if one_d else out

@@ -68,6 +68,8 @@ def gen_rank2(a, alpha, x, u, y, v, beta=1, fused=True):
 def skew_tridiag_gemv(y, alpha, a, t: SkewTridiagonal, x, beta=1, fused=True):
     """y := beta*y + alpha * A (T x), with one row of ``a`` per entry of y
     (a caller inside a larger buffer passes the strided view of its rows).
+    A product whose dtype y cannot hold under ``same_kind`` casting (complex
+    into real, say) raises TypeError before y is written.
 
     The tridiagonal multiply is a cheap O(k) pass over x, in the dtype of
     tau and x together; with ``fused=False`` T is materialized densely first
@@ -76,6 +78,9 @@ def skew_tridiag_gemv(y, alpha, a, t: SkewTridiagonal, x, beta=1, fused=True):
     p, k = a.shape
     if t.m != k or len(x) != k or len(y) != p:
         raise ValueError("dimension mismatch")
+    dt = np.result_type(a, t.tau, x, alpha, beta)
+    if not np.can_cast(dt, y.dtype, "same_kind"):
+        raise TypeError(f"cannot write a {dt} product into a {y.dtype} y")
     instrument.record_call("skew_tridiag_gemv")
     instrument.add_flops("level2", 2 * p * k + 4 * k)
     if alpha == 0:

@@ -1,11 +1,15 @@
 """Pfaffian and solve."""
 
+import os
+import subprocess
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from skewltl import (SingularT, SkewMatrixLower, pfaffian, random_skew, solve)
+from skewltl import (SingularT, SkewMatrixLower, _blas, pfaffian, random_skew, solve)
 from skewltl import ltlt_blk_piv, ltlt_blk_var1, ltlt_unb_ll, ltlt_unb_rl
 from skewltl.apps import _tridiag_solve
 from skewltl.oracle import exact_from_int, pfaffian_bruteforce
@@ -217,6 +221,121 @@ class TestSolve:
         y = solve(SkewMatrixLower.zeros(0), b)
         assert y.shape == shape
         assert y.dtype == np.linalg.solve(np.zeros((0, 0)), b).dtype
+
+
+class TestSolveOnNumpyBlas:
+    """solve's triangular and tridiagonal solves through ``_blas`` on numpy's
+    OpenBLAS, and scipy's routines where ``_blas`` declines."""
+
+    def test_loads_no_scipy(self):
+        if any(f(p) is None for f in (_blas._trsm_symbol, _blas._gtsv_symbol) for p in "dz"):
+            pytest.skip("numpy's OpenBLAS exports no ?trsm or ?gtsv")
+        import skewltl
+        src = os.path.dirname(os.path.dirname(os.path.abspath(skewltl.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("import sys, numpy as np, skewltl\n"
+                "x = skewltl.random_skew(64, seed=1)\n"
+                "xc = skewltl.SkewMatrixLower(x.data * (1 + 1j))\n"
+                "for v in (x, xc):\n"
+                "    skewltl.pfaffian(v)\n"
+                "    skewltl.solve(v, np.ones(64))\n"
+                "    skewltl.solve(v, np.ones((64, 3)))\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("shape", [(40,), (40, 1), (40, 3)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_fallback_parity(self, monkeypatch, dtype, shape, order):
+        # scipy's solve_triangular and ?gtsv give the same result: bitwise in
+        # float64 with several columns; within 1e-13 relative for one column
+        # (scipy reaches ?trsv, which rounds differently from ?trsm) and in
+        # complex128 (two OpenBLAS builds)
+        rng = np.random.Generator(np.random.Philox(14))
+        x = random_skew(40, seed=15)
+        b = np.array(rng.standard_normal(shape).astype(dtype), order=order)
+        if dtype == np.complex128:
+            b += 1j * rng.standard_normal(shape)
+        fast = solve(x, b)
+        monkeypatch.setattr(_blas, "trsm", lambda *args: False)
+        monkeypatch.setattr(_blas, "gtsv", lambda *args: None)
+        slow = solve(x, b)
+        assert slow.dtype == fast.dtype and slow.shape == fast.shape == shape
+        if dtype == np.float64 and shape == (40, 3):
+            assert np.array_equal(slow, fast)
+        else:
+            assert np.allclose(slow, fast, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("complex_b", [False, True])
+    def test_padded_leading_dimension(self, monkeypatch, complex_b):
+        # at m=512 the float64 column stride is 4096 B, so _workbuf pads the
+        # buffer: trsm gets L's block as a view whose leading dimension is
+        # not its height, or a converted copy for complex b
+        m = 512
+        x = random_skew(m, seed=16)
+        rng = np.random.Generator(np.random.Philox(17))
+        b = rng.standard_normal((m, 4)) + (1j * rng.standard_normal((m, 4)) if complex_b else 0)
+        seen = []
+
+        def spy(a, z, trans):
+            seen.append(a.strides[1] // a.itemsize)
+            return trsm(a, z, trans)
+
+        trsm = _blas.trsm
+        monkeypatch.setattr(_blas, "trsm", spy)
+        y = solve(x, b)
+        want = np.linalg.solve(x.dense(), b)
+        assert np.allclose(y, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+        # the padded buffer's leading dimension m + 8, or the copy's own
+        assert seen == 2 * [m - 1 if complex_b else m + 8]
+
+    def test_trsm_declines_row_major_a(self):
+        # only a column-major A is taken; B is left as it was
+        a = np.ascontiguousarray(np.tril(np.ones((5, 5))))
+        b = np.asfortranarray(np.arange(10.0).reshape(5, 2))
+        assert not _blas.trsm(a, b, False)
+        assert np.array_equal(b, np.arange(10.0).reshape(5, 2))
+
+    def test_zero_columns(self, monkeypatch):
+        # ?gtsv writes B's first column even for nrhs = 0, so it never gets
+        # an empty B; the singularity check still runs
+        cols = []
+
+        def spy(dl, d, du, b):
+            cols.append(b.shape[1] if b.ndim == 2 else 1)
+            return gtsv(dl, d, du, b)
+
+        gtsv = _blas.gtsv
+        monkeypatch.setattr(_blas, "gtsv", spy)
+        y = solve(random_skew(64, seed=19), np.ones((64, 0)))
+        assert y.shape == (64, 0) and cols == [1]
+        with pytest.raises(SingularT, match="at row 4$"):
+            _tridiag_solve(np.array([1.0, 2.0, 3.0, 0.0, 0.0]), np.ones((6, 0)))
+
+    def test_threads(self):
+        # four threads each solve their own input; ctypes releases the GIL
+        m = 200
+        xs = [random_skew(m, seed=20 + i) for i in range(4)]
+        bs = [np.random.Generator(np.random.Philox(30 + i)).standard_normal((m, 3))
+              for i in range(4)]
+        serial = [solve(x, b) for x, b in zip(xs, bs)]
+        got = [None] * 4
+
+        def run(i):
+            for _ in range(5):
+                got[i] = solve(xs[i], bs[i])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        for i in range(4):
+            assert np.array_equal(got[i], serial[i])
 
 
 @pytest.mark.parametrize("m", [0, 3])

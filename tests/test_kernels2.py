@@ -142,6 +142,19 @@ class TestSkewTridiagGemv:
             skew_tridiag_gemv(y, 1.0, a, t, x, 0.0)
             assert np.allclose(y, a.dot(t.dense().dot(x)), rtol=1e-13, atol=1e-13)
 
+    @pytest.mark.parametrize("alpha, x, beta", [
+        (-1.0, [1j, 0, 1], 0.5), (-1.0, [1j, 0, 1], 1),
+        (1j, [1.0, 0, 1], 0.5), (1j, [1.0, 0, 1], 1), (0, [1.0, 0, 1], 1j)])
+    def test_complex_product_into_real_y_rejected(self, alpha, x, beta):
+        # a complex x, alpha or beta raises the same error in every beta
+        # branch (and for alpha = 0) before y is written
+        y = np.zeros(2)
+        with pytest.raises(TypeError, match="cannot write a complex128 product "
+                                            "into a float64 y"):
+            skew_tridiag_gemv(y, alpha, np.ones((2, 3)), SkewTridiagonal(np.array([1.0, 2.0])),
+                              np.array(x), beta)
+        assert np.array_equal(y, np.zeros(2))
+
     @pytest.mark.parametrize("fused", [True, False])
     def test_against_dense(self, fused):
         p, k = 12, 6
