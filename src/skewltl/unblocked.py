@@ -20,11 +20,16 @@ stride would be a multiple of 4 KiB, the buffer is allocated one cache line
 taller and the drivers work on (and return L as) its top m rows:
 power-of-two strides map the columns of a block onto the same cache sets,
 which at m = 4096 made the trailing update run at a third of its padded
-rate.
+rate.  A buffer of 32 MiB or more is a private mapping on 4 KiB pages
+(``_zeroed``); the factorizations never write on or above its diagonal
+(``ltlt_unb_panel`` clears its unfactored columns whole), so the pages that
+hold only upper-triangle entries never become resident.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,12 +62,45 @@ def _check_dtype(x: SkewMatrixLower):
                         "floating-point, complex or object array")
 
 
+#: Numeric work buffers of at least this many bytes are mapped by ``_zeroed``.
+#: glibc's largest mmap threshold: from here on ``np.zeros`` gets a fresh
+#: mapping anyway, while below it the buffer may come from glibc's heap, whose
+#: pages are already resident and are reused without faults.
+_MAP_MIN_BYTES = 32 << 20
+
+
+def _zeroed(shape, dtype):
+    """A zeroed column-major array.  A numeric one of at least
+    ``_MAP_MIN_BYTES`` is a private anonymous mapping advised off
+    transparent huge pages: the kernel zero-fills each 4 KiB page on its
+    first write, so pages the drivers never write stay out of RAM and still
+    read zero.  (numpy advises huge pages for large arrays, and a 2 MiB page
+    of an m = 4096 buffer spans 64 whole columns, upper triangle included.)
+    The mapping must be private: a shared one is shmem, which gets no huge
+    pages either but faults more slowly.  Object dtype, smaller buffers,
+    platforms without ``MADV_NOHUGEPAGE`` and a failing ``mmap`` take
+    ``np.zeros``."""
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    if (dtype != object and nbytes >= _MAP_MIN_BYTES
+            and hasattr(mmap, "MADV_NOHUGEPAGE")):
+        try:
+            mem = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+            mem.madvise(mmap.MADV_NOHUGEPAGE)
+        except OSError:
+            pass
+        else:
+            return np.ndarray(shape, dtype, buffer=mem, order="F")
+    return np.zeros(shape, dtype, order="F")
+
+
 def _workbuf(x: SkewMatrixLower):
-    """Working copy of ``x`` (see the module docstring) and a zeroed tau
-    vector, in one pass over the input's strictly-lower part: each block
-    column of NB is copied, then scanned, so the first NaN or infinity in
-    column-major order raises ValueError; exact (object dtype) scalars are
-    not checked.  Integer and boolean inputs raise TypeError."""
+    """Working copy of ``x`` (see the module docstring) in a ``_zeroed``
+    buffer, and a zeroed tau vector.  Only the buffer's strictly-lower part
+    is written, in one pass over the input's: each block column of NB is
+    copied, then scanned, so the first NaN or infinity in column-major order
+    raises ValueError; exact (object dtype) scalars are not checked.
+    Integer and boolean inputs raise TypeError."""
     _check_dtype(x)
     src = x.data
     m = x.m
@@ -70,7 +108,7 @@ def _workbuf(x: SkewMatrixLower):
         raise ValueError("m >= 1 required")
     itemsize = src.dtype.itemsize
     ld = m + max(1, 64 // itemsize) if (m * itemsize) % 4096 == 0 else m
-    work = np.zeros((ld, m), dtype=src.dtype, order="F")[:m]
+    work = _zeroed((ld, m), src.dtype)[:m]
     for j0 in range(0, m, NB):
         j1 = min(j0 + NB, m)
         np.copyto(work[j0:j1, j0:j1], src[j0:j1, j0:j1],

@@ -1,8 +1,14 @@
 """Blocked drivers: block-size agreement, fused variants, pivoting, traces,
 feature toggles, other dtypes, concurrent flop counting."""
 
+import errno
+import mmap
+import os
+import re
 import sys
 import threading
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +16,8 @@ import pytest
 from skewltl import (Features, PivotUnsupported, SkewMatrixLower, ZeroPivot,
                      ltlt_blk_left, ltlt_blk_piv, ltlt_blk_twostep,
                      ltlt_blk_var1, ltlt_blk_var2a, ltlt_blk_var2b,
-                     ltlt_unb_ll, ltlt_unb_rl, ltlt_unb_twostep, pfaffian,
-                     random_skew, reconstruct, solve)
+                     ltlt_unb_ll, ltlt_unb_panel, ltlt_unb_rl, ltlt_unb_twostep,
+                     pfaffian, random_skew, reconstruct, solve)
 from skewltl import blocked, instrument, unblocked
 from skewltl.cli import VARIANT_NAMES, run_variant
 from skewltl.core import (InvalidVariant, SkewTridiagonal, UnitLowerFactor,
@@ -400,7 +406,8 @@ class TestInputPass:
     @pytest.mark.parametrize("factor", [
         lambda x: ltlt_blk_var2b(x, b=64),
         lambda x: ltlt_blk_piv(x, b=64, fused="var2b"),
-    ], ids=["var2b", "piv"])
+        lambda x: _all_mapped(ltlt_blk_var2b, x, b=64),
+    ], ids=["var2b", "piv", "var2b-mapped"])
     def test_layout_and_upper_triangle_ignored(self, factor):
         # 600 > NB: the copy runs over more than one block column
         x = random_skew(600, seed=32)
@@ -414,6 +421,22 @@ class TestInputPass:
             assert np.array_equal(r.t.tau, ref.t.tau)
             assert np.array_equal(r.p.pivots, ref.p.pivots)
             assert r.l.data.tobytes() == ref.l.data.tobytes()
+
+
+_MMAP = mmap.mmap   # the class, even where a test has replaced mmap.mmap
+
+
+def _mapping(a):
+    """The ``mmap`` under array ``a``, or None."""
+    while a is not None and not isinstance(a, _MMAP):
+        a = getattr(a, "base", None)
+    return a
+
+
+def _all_mapped(driver, x, **kw):
+    """``driver(x, **kw)`` with every numeric work buffer mapped."""
+    with mock.patch.object(unblocked, "_MAP_MIN_BYTES", 0):
+        return driver(x, **kw)
 
 
 class TestFeatures:
@@ -541,3 +564,136 @@ def test_bitwise_reproducible():
     r2 = ltlt_blk_var2b(x, b=16)
     assert np.array_equal(r1.t.tau, r2.t.tau)
     assert np.array_equal(r1.l.dense(), r2.l.dense())
+
+
+# Every driver that owns a work buffer, as run(x, b).
+_BUFFER_OWNERS = {
+    "blk-var1": lambda x, b: ltlt_blk_var1(x, b=b),
+    "blk-var2a": lambda x, b: ltlt_blk_var2a(x, b=b),
+    "blk-var2b": lambda x, b: ltlt_blk_var2b(x, b=b),
+    "blk-left": lambda x, b: ltlt_blk_left(x, b=b),
+    "blk-twostep": lambda x, b: ltlt_blk_twostep(x, b=b),
+    "piv-var1": lambda x, b: ltlt_blk_piv(x, b=b, fused="var1"),
+    "piv-var2a": lambda x, b: ltlt_blk_piv(x, b=b, fused="var2a"),
+    "piv-var2b": lambda x, b: ltlt_blk_piv(x, b=b, fused="var2b"),
+    "unb-rl": lambda x, b: ltlt_unb_rl(x),
+    "unb-ll": lambda x, b: ltlt_unb_ll(x, pivot=True),
+    "unb-twostep": lambda x, b: ltlt_unb_twostep(x),
+    "unb-panel": lambda x, b: ltlt_unb_panel(x, b, pivot=True),
+}
+
+
+def _outcome(run, x, b):
+    """Whether L's buffer was mapped, and everything a run returns or records."""
+    tr = instrument.CallTrace()
+    with instrument.tracing(tr):
+        r = run(x, b)
+    return _mapping(r.l.data) is not None, (
+        r.l.data.tobytes(), r.t.tau.tobytes(), r.p.pivots.tobytes(), r.flops, tr.calls)
+
+
+def _smaps_entry(addr):
+    """(Size, Rss) in kB of the mapping in /proc/self/smaps that holds addr."""
+    fields, inside = {}, False
+    with open("/proc/self/smaps") as f:
+        for line in f:
+            head = re.match(r"([0-9a-f]+)-([0-9a-f]+) ", line)
+            if head:
+                if inside:
+                    break
+                inside = int(head[1], 16) <= addr < int(head[2], 16)
+            elif inside:
+                key, _, rest = line.partition(":")
+                fields[key] = rest.split()
+    return int(fields["Size"][0]), int(fields["Rss"][0])
+
+
+def _status_kb(key):
+    with open("/proc/self/status") as f:
+        for line in f:
+            if line.startswith(key + ":"):
+                return int(line.split()[1])
+    raise KeyError(key)
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MADV_NOHUGEPAGE"),
+                    reason="without MADV_NOHUGEPAGE no work buffer is mapped")
+class TestMappedWorkBuffer:
+    """Large numeric work buffers are private anonymous mappings on 4 KiB
+    pages (``unblocked._zeroed``); results are the same bits either way."""
+
+    @pytest.mark.parametrize("m", [5, 40, 600])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex128])
+    @pytest.mark.parametrize("name", list(_BUFFER_OWNERS))
+    def test_parity(self, monkeypatch, name, dtype, m):
+        run = _BUFFER_OWNERS[name]
+        x = _dtype_instance(dtype, m)
+        b = max(2, m // 8)
+        mapped, ref = _outcome(run, x, b)
+        assert not mapped
+        monkeypatch.setattr(unblocked, "_MAP_MIN_BYTES", 0)
+        assert _outcome(run, x, b) == (True, ref)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"),
+                        reason="needs /proc/self/smaps")
+    def test_upper_triangle_not_resident(self):
+        # 2100^2 doubles are 33.6 MiB, above the mapping threshold
+        x = random_skew(2100, seed=41)
+        shmem = _status_kb("RssShmem")
+        r = ltlt_blk_var2b(x)
+        assert _mapping(r.l.data) is not None
+        size, rss = _smaps_entry(r.l.data.ctypes.data)
+        assert size >= r.l.data.nbytes // 1024
+        assert rss <= 0.8 * size
+        # a shared mapping would be shmem: about 24 MiB of it here
+        assert _status_kb("RssShmem") - shmem < 1024
+
+    def test_mmap_failure_falls_back(self, monkeypatch):
+        run, x, tried = _BUFFER_OWNERS["piv-var2b"], random_skew(600, seed=42), []
+        ref = _outcome(run, x, 64)
+
+        def no_memory(*args, **kwargs):
+            tried.append(args)
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+        monkeypatch.setattr(unblocked, "_MAP_MIN_BYTES", 0)
+        monkeypatch.setattr(mmap, "mmap", no_memory)
+        assert _outcome(run, x, 64) == ref
+        assert tried
+
+    def test_without_nohugepage_not_mapped(self, monkeypatch):
+        monkeypatch.setattr(unblocked, "_MAP_MIN_BYTES", 0)
+        monkeypatch.delattr(mmap, "MADV_NOHUGEPAGE", raising=False)
+        assert _mapping(ltlt_blk_var2b(random_skew(40, seed=43), b=8).l.data) is None
+
+    def test_object_dtype_never_mapped(self):
+        x = random_int_skew(np.random.Generator(np.random.Philox(44)), 7)
+        assert isinstance(x.data[1, 0], Fraction)
+        ref = ltlt_blk_var2b(x, b=3)
+        r = _all_mapped(ltlt_blk_var2b, x, b=3)
+        assert _mapping(r.l.data) is None
+        assert np.array_equal(r.l.data, ref.l.data)
+        assert np.array_equal(r.t.tau, ref.t.tau)
+
+    def test_two_threads(self):
+        jobs = [lambda: ltlt_blk_var2b(random_skew(2100, seed=45)),
+                lambda: ltlt_blk_piv(random_skew(2100, seed=46), fused="var2b")]
+        serial = [job() for job in jobs]
+        got = [None] * len(jobs)
+        start = threading.Barrier(len(jobs))
+
+        def run(i):
+            start.wait()
+            got[i] = jobs[i]()
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        for r, ref in zip(got, serial):
+            assert _mapping(r.l.data) is not None
+            assert r.l.data.tobytes() == ref.l.data.tobytes()
+            assert r.t.tau.tobytes() == ref.t.tau.tobytes()
+            assert r.p.pivots.tobytes() == ref.p.pivots.tobytes()
