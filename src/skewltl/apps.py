@@ -3,6 +3,8 @@ factorization."""
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from . import _blas
@@ -10,18 +12,63 @@ from .blocked import DEFAULT_BLOCK, _check_block, ltlt_blk_piv
 from .core import SingularT, SkewMatrixLower, compose_permutation
 from .unblocked import _check_dtype
 
+#: The last factorization ``_factor`` made and no call has reused yet, as
+#: (weak reference to the input's data, key, result), or None.  Replaced
+#: whole by one assignment, so threads share it without a lock: a race costs
+#: at most a refactorization.
+_last = None
+
+
+def _digest(data):
+    """sha256 of the strictly-lower columns of ``data``, in column order:
+    the bytes the drivers read."""
+    import hashlib  # here, not at module level: it loads OpenSSL (3.5 MiB)
+
+    h = hashlib.sha256()
+    for j in range(data.shape[0] - 1):
+        h.update(np.ascontiguousarray(data[j + 1:, j]))
+    return h.digest()
+
+
+def _forget(ref):
+    """Drop the entry whose input data was just collected, so its L buffer
+    does not outlive the caller's matrix."""
+    global _last
+    entry = _last  # read once: another thread may replace it
+    if entry is not None and entry[0] is ref:
+        _last = None
+
 
 def _factor(x, b, needed):
     """Check b and x's dtype, then factor x when ``needed`` with
     ``ltlt_blk_piv(fused="var2b")`` at block b (default min(DEFAULT_BLOCK,
-    m)), looked up in this module when called so a wrapper on it sees it."""
+    m)), looked up in this module when called so a wrapper on it sees it.
+
+    The last result is kept, keyed by (block, dtype, m, ``_digest``), until
+    a call with the same key takes it (unfactored, so callers must not
+    modify it), another factorization replaces it, or x's data array is
+    collected.  Object arrays are factored every time: their bytes are
+    pointers, and a freed scalar's address can be reused."""
+    global _last
     if b is not None:
         _check_block(b)
     _check_dtype(x)
-    if needed:
-        return ltlt_blk_piv(x, b=min(DEFAULT_BLOCK, x.m) if b is None else b,
-                            fused="var2b")
-    return None
+    if not needed:
+        return None
+    b = min(DEFAULT_BLOCK, x.m) if b is None else b
+    data = x.data
+    if data.dtype == object:
+        return ltlt_blk_piv(x, b=b, fused="var2b")
+    key = (b, data.dtype.str, x.m, _digest(data))
+    entry = _last
+    if entry is not None and entry[1] == key:
+        _last = None  # one reuse: its L is freed when the caller is done
+        return entry[2]
+    # a miss frees the old L before the new one is allocated
+    entry = _last = None
+    res = ltlt_blk_piv(x, b=b, fused="var2b")
+    _last = (weakref.ref(data, _forget), key, res)
+    return res
 
 
 def pfaffian(x: SkewMatrixLower, b=None):
@@ -32,6 +79,12 @@ def pfaffian(x: SkewMatrixLower, b=None):
     the sign.  Odd dimension gives exactly 0; m = 0 gives 1.  Exact scalar
     types are preserved.  Raises OverflowError when |Pf| exceeds the
     largest finite value of the floating-point type.
+
+    The factorization is shared with ``solve``: the last one made is reused
+    once, by the next call whose strictly-lower bytes, dtype and block size
+    match it; until then it is held while x's data array is alive.  Telling
+    a hit from a miss costs one sha256 pass over the strictly-lower part.
+    Object arrays are factored on every call.
     """
     m = x.m
     res = _factor(x, b, needed=m > 0 and m % 2 == 0)
@@ -122,7 +175,7 @@ def solve(x: SkewMatrixLower, b, block=None, tol_scale=10.0):
     ValueError.  The result is complex when X or b is, float64 otherwise;
     m = 0 gives an empty result of b's shape; a non-finite b raises
     ValueError.  Raises SingularT for (numerically) singular X, which
-    includes every odd m.
+    includes every odd m.  The factorization is reused as in ``pfaffian``.
     """
     m = x.m
     b = np.asarray(b)

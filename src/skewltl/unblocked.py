@@ -21,9 +21,8 @@ taller and the drivers work on (and return L as) its top m rows:
 power-of-two strides map the columns of a block onto the same cache sets,
 which at m = 4096 made the trailing update run at a third of its padded
 rate.  A buffer of 32 MiB or more is a private mapping on 4 KiB pages
-(``_zeroed``); the factorizations never write on or above its diagonal
-(``ltlt_unb_panel`` clears its unfactored columns whole), so the pages that
-hold only upper-triangle entries never become resident.
+(``_zeroed``); the factorizations never write on or above its diagonal, so
+the pages that hold only upper-triangle entries never become resident.
 """
 
 from __future__ import annotations
@@ -304,7 +303,8 @@ def _unblocked(x, variant, pivot, width=None, first_column=None):
         with instrument.scope("trailing" if width is None else "panel"):
             _PANELS[variant](work, tau, 0, nelim, climit=climit, pivots=pivots)
     if width is not None:
-        work[:, nelim:] = 0
+        for j in range(nelim, m):  # strictly lower only: the rest is still zero
+            work[j + 1:, j] = 0
         pivots = pivots[:nelim + 1] if pivots is not None else None
     return _finalize(work, tau, pivots, m, fc, first_column=fcvec)
 

@@ -1,15 +1,18 @@
 """Pfaffian and solve."""
 
+import gc
 import os
 import subprocess
 import sys
 import threading
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from skewltl import (SingularT, SkewMatrixLower, _blas, pfaffian, random_skew, solve)
+from skewltl import (SingularT, SkewMatrixLower, _blas, apps, pfaffian, random_skew,
+                     solve)
 from skewltl import ltlt_blk_piv, ltlt_blk_var1, ltlt_unb_ll, ltlt_unb_rl
 from skewltl.apps import _tridiag_solve
 from skewltl.oracle import exact_from_int, pfaffian_bruteforce
@@ -174,7 +177,7 @@ class TestSolve:
         with pytest.raises(ValueError, match="block size must be >= 1"):
             solve(SkewMatrixLower.zeros(0), np.ones(0), block=0)
 
-    def test_nan_above_diagonal_ignored(self):
+    def test_nan_above_diagonal_ignored(self, monkeypatch):
         # factorizations ignore what lies above the diagonal; L's buffer keeps it
         m = 40
         x = random_skew(m, seed=11)
@@ -182,6 +185,7 @@ class TestSolve:
         want = solve(x, b)
         iu, ju = np.triu_indices(m)
         x.data[iu, ju] = np.nan
+        monkeypatch.setattr(apps, "_last", None)  # factor again, NaN and all
         assert np.array_equal(solve(x, b), want)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -196,9 +200,8 @@ class TestSolve:
             solve(random_skew(1, seed=0), np.ones(1))
 
     def test_single_factorization(self, monkeypatch):
-        # pfaffian and solve factor once each, through apps.ltlt_blk_piv
-        from skewltl import apps
-
+        # pfaffian then solve on an unchanged x factor once, through
+        # apps.ltlt_blk_piv; a changed x.data is factored again
         calls = []
 
         def wrapped(*args, **kwargs):
@@ -206,12 +209,21 @@ class TestSolve:
             return ltlt_blk_piv(*args, **kwargs)
 
         monkeypatch.setattr(apps, "ltlt_blk_piv", wrapped)
-        x = random_skew(12, seed=13)
-        pfaffian(x)
-        assert len(calls) == 1
-        solve(x, np.ones(12))
-        assert len(calls) == 2
-        assert all(c["fused"] == "var2b" for c in calls)
+        monkeypatch.setattr(apps, "_last", None)
+        eps = np.finfo(float).eps
+        for m in (12, 2100):  # at 2100 L's buffer is mapped
+            calls.clear()
+            x = random_skew(m, seed=13, scale=1.6 / m ** 0.5)
+            b = np.ones((m, 2))
+            pfaffian(x)
+            assert len(calls) == 1
+            for k in (1, 2):
+                y = solve(x, b)
+                assert len(calls) == k
+                d = x.dense()
+                assert np.linalg.norm(d @ y - b) <= m * eps * np.linalg.norm(d) * np.linalg.norm(y)
+                x.data[7, 3] += 1
+            assert all(c["fused"] == "var2b" for c in calls)
 
     @pytest.mark.parametrize("shape", [(0,), (0, 3)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex128])
@@ -221,6 +233,167 @@ class TestSolve:
         y = solve(SkewMatrixLower.zeros(0), b)
         assert y.shape == shape
         assert y.dtype == np.linalg.solve(np.zeros((0, 0)), b).dtype
+
+
+class TestFactorCache:
+    """``apps._factor`` keeps its last result, keyed by the block size, the
+    dtype, m and the sha256 of the strictly-lower columns, while the input's
+    data array is alive."""
+
+    @pytest.fixture(autouse=True)
+    def calls(self, monkeypatch):
+        calls = []
+
+        def wrapped(*args, **kwargs):
+            calls.append(kwargs["b"])
+            return ltlt_blk_piv(*args, **kwargs)
+
+        monkeypatch.setattr(apps, "ltlt_blk_piv", wrapped)
+        monkeypatch.setattr(apps, "_last", None)
+        return calls
+
+    @staticmethod
+    def fresh(x, b):
+        # the answers of an empty cache, on a copy of x
+        apps._last = None
+        copy = SkewMatrixLower(x.data.copy())
+        return pfaffian(copy), solve(copy, b)
+
+    def test_changed_entry_refactors(self, calls):
+        m = 40
+        x = random_skew(m, seed=50)
+        b = np.random.Generator(np.random.Philox(51)).standard_normal((m, 2))
+        pfaffian(x)
+        x.data[30, 4] = 0.25
+        y = solve(x, b)
+        assert len(calls) == 2
+        pf = pfaffian(x)
+        assert len(calls) == 2
+        want_pf, want_y = self.fresh(x, b)
+        assert pf == want_pf and np.array_equal(y, want_y)
+
+    def test_miss_frees_the_old_result_first(self, monkeypatch):
+        # two L buffers are never held at once
+        x0 = random_skew(40, seed=57)
+        pfaffian(x0)
+        old = weakref.ref(apps._last[2].l.data)
+        seen = []
+
+        def wrapped(*args, **kwargs):
+            seen.append(old())
+            return ltlt_blk_piv(*args, **kwargs)
+
+        monkeypatch.setattr(apps, "ltlt_blk_piv", wrapped)
+        pfaffian(random_skew(40, seed=58))
+        assert seen == [None]
+
+    def test_nan_above_diagonal_is_a_hit(self, calls):
+        m = 40
+        x = random_skew(m, seed=52)
+        b = np.ones(m)
+        want_pf, want_y = self.fresh(x, b)
+        iu, ju = np.triu_indices(m)
+        assert pfaffian(x) == want_pf
+        x.data[iu, ju] = np.nan
+        assert np.array_equal(solve(x, b), want_y)
+        assert len(calls) == 2
+        assert np.array_equal(solve(x, b), want_y)  # factored with the NaN
+        x.data[iu, ju] = 5.0
+        assert pfaffian(x) == want_pf
+        assert len(calls) == 3
+
+    def test_hit_takes_the_entry(self, calls):
+        # the entry serves one reuse, so after pfaffian then solve no L is held
+        x = random_skew(40, seed=59)
+        pfaffian(x)
+        l_data = weakref.ref(apps._last[2].l.data)
+        solve(x, np.ones(40))
+        assert apps._last is None and l_data() is None
+        pfaffian(x)
+        assert len(calls) == 2
+
+    def test_block_size_is_part_of_the_key(self, calls):
+        x = random_skew(40, seed=53)
+        pfaffian(x, b=16)
+        solve(x, np.ones(40), block=16)
+        assert calls == [16]
+        pfaffian(x)
+        assert calls == [16, 40]
+        pfaffian(x, b=40)  # the default at m = 40
+        solve(x, np.ones(40), block=8)
+        assert calls == [16, 40, 8]
+
+    def test_object_dtype_never_cached(self, calls):
+        x = exact_from_int([2, 1, 3, 4, 1, 5], 4)
+        assert pfaffian(x) == Fraction(21)
+        assert pfaffian(x) == Fraction(21)
+        y = solve(x, np.ones(4))
+        assert len(calls) == 3 and apps._last is None
+        assert np.allclose(x.dense().astype(float) @ y, 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex128])
+    def test_other_dtypes_hit(self, calls, dtype):
+        m = 30
+        x = random_skew(m, seed=54)
+        x = SkewMatrixLower(x.data * (1 + 0.5j) if dtype == np.complex128
+                            else x.data.astype(dtype))
+        b = np.random.Generator(np.random.Philox(55)).standard_normal((m, 3))
+        pf, y = pfaffian(x), solve(x, b)
+        assert len(calls) == 1
+        want_pf, want_y = self.fresh(x, b)
+        assert pf == want_pf and np.array_equal(y, want_y)
+
+    def test_entry_dropped_with_data(self):
+        x = random_skew(40, seed=56)
+        pfaffian(x)
+        l_data = weakref.ref(apps._last[2].l.data)
+        del x
+        gc.collect()
+        assert apps._last is None and l_data() is None
+
+    def test_threads(self):
+        # four threads interleave pfaffian and solve on one shared input and
+        # one input each; every answer is the serial one, bitwise
+        m = 120
+        xs = [random_skew(m, seed=60 + i) for i in range(5)]
+        b = np.random.Generator(np.random.Philox(65)).standard_normal((m, 2))
+        serial = [(pfaffian(x), solve(x, b)) for x in xs]
+        errors = []
+
+        def run(i):
+            for k in range(8):
+                j = 4 if k % 2 else i
+                if k % 3:
+                    pf, y = pfaffian(xs[j]), solve(xs[j], b)
+                else:
+                    y, pf = solve(xs[j], b), pfaffian(xs[j])
+                if pf != serial[j][0] or not np.array_equal(y, serial[j][1]):
+                    errors.append((i, k))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads inside _factor too
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+    def test_import_loads_no_hashlib(self):
+        # hashlib loads OpenSSL; only the first cached factorization needs it
+        import skewltl
+        src = os.path.dirname(os.path.dirname(os.path.abspath(skewltl.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("import sys, skewltl.cli; "
+                "print(sorted(m for m in sys.modules if 'hashlib' in m))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestSolveOnNumpyBlas:
