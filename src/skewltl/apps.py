@@ -3,13 +3,14 @@ factorization."""
 
 from __future__ import annotations
 
+import math
 import weakref
 
 import numpy as np
 
 from . import _blas
 from .blocked import DEFAULT_BLOCK, _check_block, ltlt_blk_piv
-from .core import SingularT, SkewMatrixLower, compose_permutation
+from .core import SingularT, SkewMatrixLower, _work_dtype, compose_permutation
 from .unblocked import _check_dtype
 
 #: The last factorization ``_factor`` made and no call has reused yet, as
@@ -77,8 +78,10 @@ def pfaffian(x: SkewMatrixLower, b=None):
     Pf(T) for the tridiagonal factor is the product of (-tau[2r]) under the
     convention Pf([[0, a], [-a, 0]]) = a, and each nontrivial pivot flips
     the sign.  Odd dimension gives exactly 0; m = 0 gives 1.  Exact scalar
-    types are preserved.  Raises OverflowError when |Pf| exceeds the
-    largest finite value of the floating-point type.
+    types are preserved.  The floating-point product is rescaled by powers
+    of two where its partial products leave the normal range
+    (``_scaled_product``), so it raises OverflowError only when |Pf| itself
+    exceeds the largest finite value of the dtype.
 
     The factorization is shared with ``solve``: the last one made is reused
     once, by the next call whose strictly-lower bytes, dtype and block size
@@ -92,23 +95,45 @@ def pfaffian(x: SkewMatrixLower, b=None):
         return 1.0
     if m % 2:
         return 0.0 if x.data.dtype != object else 0
-    tau = res.t.tau
-    if tau.dtype != object:
-        with np.errstate(divide="ignore"):
-            logabs = float(np.sum(np.log(np.abs(tau[0::2]))))
-        if logabs > np.log(np.finfo(tau.dtype).max):
+    tau, sign = res.t.tau, res.p.sign()
+    if tau.dtype == object:
+        return math.prod(-tau[0::2], start=sign)
+    return _scaled_product(tau.dtype.type(sign), -tau[0::2])
+
+
+def _ldexp(z, e):
+    """z * 2**e for a real or complex scalar z, part by part."""
+    return np.ldexp(np.array([z]).view(np.finfo(z.dtype).dtype), e).view(z.dtype)[0]
+
+
+def _split(z):
+    """(z * 2**-e, e) for the e that brings z's larger part into [0.5, 1);
+    exact for a finite z, and (0, 0) for z = 0."""
+    e = int(np.frexp(max(abs(z.real), abs(z.imag)))[1])
+    return _ldexp(z, -e), e
+
+
+def _scaled_product(val, factors):
+    """val times the factors, left to right, in val's dtype.  When a partial
+    product leaves the normal range, it and the next factor are brought near
+    1 by powers of two, which is exact; so the result is bitwise the plain
+    product's wherever that product stays in range.  Raises OverflowError
+    when the result's magnitude exceeds the dtype's largest value."""
+    fi = np.finfo(val.dtype)
+    scale = 0
+    with np.errstate(all="ignore"):
+        for t in factors:
+            v = val * t
+            if not fi.tiny <= abs(v) <= fi.max and val and t:
+                (val, e0), (t, e1) = _split(val), _split(t)
+                scale += e0 + e1
+                v = val * t
+            val = v
+        big = abs(val)
+        if np.isinf(big) or scale + int(np.frexp(big)[1]) > fi.maxexp:
+            logabs = float(np.log(big)) + scale * np.log(2.0)
             raise OverflowError(f"Pfaffian overflows: log|Pf| = {logabs:.1f}")
-    val = res.p.sign()
-    for i in range(0, m - 1, 2):
-        val = val * (-tau[i])
-    return val
-
-
-def _solve_dtype(*arrays):
-    """Working dtype of a solve: float64 or wider, complex when any operand
-    is; exact (object) operands are solved in float64."""
-    kinds = [np.float64 if a.dtype == object else a.dtype for a in arrays]
-    return np.result_type(*kinds, np.float64)
+        return _ldexp(val, scale) if scale else val
 
 
 def _tridiag_solve(tau, rhs, tol_scale=10.0):
@@ -123,7 +148,7 @@ def _tridiag_solve(tau, rhs, tol_scale=10.0):
     Right-hand sides are solved together as columns.
     """
     tau, rhs = np.asarray(tau), np.asarray(rhs)
-    dt = _solve_dtype(tau, rhs)
+    dt = _work_dtype(tau, rhs)
     m = len(tau) + 1
     x = np.array(rhs, dtype=dt, order="F")
     if x.shape[0] != m:
@@ -182,7 +207,7 @@ def solve(x: SkewMatrixLower, b, block=None, tol_scale=10.0):
     if b.ndim not in (1, 2) or b.shape[0] != m:
         raise ValueError("dimension mismatch")
     res = _factor(x, block, needed=m > 0)
-    dt = _solve_dtype(x.data, b)
+    dt = _work_dtype(x.data, b)
     b = np.asarray_chkfinite(b.astype(dt, copy=False))  # LAPACK is called unchecked
     if m == 0:
         return np.empty_like(b)

@@ -76,15 +76,21 @@ class SkewMatrixLower:
         return SkewMatrixLower(np.array(self.data, order="F"))
 
     def norm(self):
-        """Frobenius norm of the implicit full matrix, computed in float64
-        or complex128 (exact entries as float64)."""
+        """Frobenius norm of the implicit full matrix, computed in
+        ``_work_dtype``."""
         lower = np.tril(self.data, -1)
-        dt = np.float64 if lower.dtype == object else np.result_type(lower.dtype, np.float64)
-        lower = lower.astype(dt, copy=False)
+        lower = lower.astype(_work_dtype(lower), copy=False)
         return float(np.sqrt(2.0) * np.linalg.norm(lower))
 
     def __repr__(self):
         return f"SkewMatrixLower(m={self.m}, dtype={self.data.dtype})"
+
+
+def _work_dtype(*arrays):
+    """Floating-point dtype for arithmetic on ``arrays``: float64 or wider,
+    complex when any operand is; exact (object) operands count as float64."""
+    kinds = [np.float64 if a.dtype == object else a.dtype for a in arrays]
+    return np.result_type(*kinds, np.float64)
 
 
 def random_skew(m, seed=0, scale=1.0):
@@ -143,10 +149,7 @@ class SSplitting:
         self.m = m
         self.entries = list(entries)
 
-    def dense(self, dtype=None):
-        if dtype is None:
-            vals = np.array([v for *_ij, v in self.entries]) if self.entries else np.array([0.0])
-            dtype = vals.dtype
+    def dense(self, dtype):
         s = np.zeros((self.m, self.m), dtype=dtype)
         for i, j, v in self.entries:
             s[i, j] = v
@@ -175,29 +178,23 @@ def form_s_splitting(t: SkewTridiagonal) -> SSplitting:
 class UnitLowerFactor:
     """Unit lower-triangular factor L with first column e_0 by default.
 
-    Storage modes (both keep L's column j, j >= 1, in buffer column j-1,
-    i.e. shifted one column left, occupying rows j and below):
-
-    * ``"ones"``:   buffer[j, j-1] holds an explicit 1.0 (the unit diagonal
-      entry of L column j).  This is the working layout of the drivers; the
-      explicit ones let blocked trailing updates consume whole panels.
-    * ``"packed"``: buffer[j, j-1] holds tau[j-1] instead, the fully packed
-      layout produced by :func:`pack_in_place`.
+    The buffer keeps L's column j, j >= 1, in buffer column j-1, i.e.
+    shifted one column left, occupying rows j and below; buffer[j, j-1]
+    holds an explicit 1 (the unit diagonal entry of L column j), so blocked
+    trailing updates consume whole panels.  ``mode`` names this one layout.
 
     ``first_column``, when given, is the strictly-below-diagonal part of a
     non-default first column of L (length m-1).
     """
 
-    __slots__ = ("data", "mode", "first_column")
+    __slots__ = ("data", "first_column")
+    mode = "ones"
 
-    def __init__(self, data, mode="ones", first_column=None):
+    def __init__(self, data, first_column=None):
         data = np.asarray(data)
         if data.ndim != 2 or data.shape[0] != data.shape[1]:
             raise ValueError("square 2-D buffer required")
-        if mode not in ("ones", "packed"):
-            raise ValueError(f"unknown storage mode {mode!r}")
         self.data = data
-        self.mode = mode
         self.first_column = None if first_column is None else np.asarray(first_column)
 
     @property
@@ -257,10 +254,6 @@ class PermutationVector:
 
     def __len__(self):
         return len(self.pivots)
-
-    @classmethod
-    def identity(cls, m, k=None):
-        return cls(np.zeros(m if k is None else k, dtype=np.int64), m)
 
     @property
     def nontrivial(self):
@@ -377,4 +370,4 @@ def unpack_in_place(x: SkewMatrixLower):
     lbuf = np.zeros((m, m), dtype=buf.dtype, order="F")
     np.copyto(lbuf, buf, where=np.tri(m, k=-2, dtype=bool))
     np.fill_diagonal(lbuf[1:], 1)
-    return UnitLowerFactor(lbuf, "ones"), SkewTridiagonal(tau)
+    return UnitLowerFactor(lbuf), SkewTridiagonal(tau)

@@ -33,14 +33,6 @@ class FlopCounter:
     def total(self) -> int:
         return self.level2 + self.level3 + self.panel + self.pivot
 
-    def __add__(self, other: "FlopCounter") -> "FlopCounter":
-        return FlopCounter(
-            self.level2 + other.level2,
-            self.level3 + other.level3,
-            self.panel + other.panel,
-            self.pivot + other.pivot,
-        )
-
 
 @dataclass
 class CallTrace:

@@ -63,13 +63,8 @@ def _merge_tile(tile, contrib, alpha, beta, where=True):
     diagonal tile passes the cached strict-lower mask (``_tril_mask``), so
     entries at or above the diagonal are neither used nor touched.
     """
-    if beta == 1 and tile.dtype != object:
-        if alpha == 1:
-            np.add(tile, contrib, out=tile, where=where)
-        elif alpha == -1:
-            np.subtract(tile, contrib, out=tile, where=where)
-        else:
-            np.add(tile, alpha * contrib, out=tile, where=where)
+    if beta == 1:
+        np.add(tile, alpha * contrib, out=tile, where=where)
     else:
         np.copyto(tile, beta * tile + alpha * contrib, where=where)
 

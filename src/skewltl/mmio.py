@@ -62,7 +62,9 @@ def mm_write(path, x: SkewMatrixLower):
 
 def _malformed_line(path, skip):
     """ValueError naming the first entry line after the ``skip`` header
-    lines that is not ``row col value`` with integer indices."""
+    lines that is not ``row col value`` with indices that fit ``_ENTRY``'s
+    integers."""
+    lim = np.iinfo(_ENTRY["i"])
     with open(path) as fh:
         for n, line in enumerate(fh, 1):
             tokens = line.split("%", 1)[0].split()
@@ -70,7 +72,9 @@ def _malformed_line(path, skip):
                 continue
             try:
                 si, sj, sv = tokens
-                int(si), int(sj), float(sv)
+                float(sv)
+                if not all(lim.min <= int(s) <= lim.max for s in (si, sj)):
+                    raise ValueError
             except ValueError:
                 return ValueError(f"{path}: line {n}: expected 'row col value' with "
                                   f"integer indices, got {line.strip()!r}")

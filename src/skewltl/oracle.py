@@ -150,12 +150,12 @@ def pfaffian_bruteforce(x: SkewMatrixLower):
     return pf(list(range(m)))
 
 
-def flop_model(variant, m, b=None):
-    """Leading-order flop counts: 2m^3/3 for the plain right-looking
-    elimination, m^3/3 for everything that halves it."""
-    if variant in ("unb-rl", "rl"):
+def flop_model(variant, m):
+    """Leading-order flop counts by CLI variant name: 2m^3/3 for the plain
+    right-looking elimination, m^3/3 for everything that halves it."""
+    if variant == "unb-rl":
         return 2 * m**3 / 3
-    if variant in ("unb-ll", "ll", "unb-2step", "twostep",
-                   "blk-var1", "blk-var2a", "blk-var2b", "blk-left", "blk-2step"):
+    if variant in ("unb-ll", "unb-2step", "blk-var1", "blk-var2a", "blk-var2b",
+                   "blk-left", "blk-2step"):
         return m**3 / 3
     raise ValueError(f"unknown variant {variant!r}")

@@ -129,7 +129,7 @@ def _finalize(work, tau, pivots, m, fc, external_t=True, first_column=None):
     else:
         p = PermutationVector(pivots, m)
     return FactorizationResult(
-        UnitLowerFactor(work, "ones", first_column), SkewTridiagonal(tau), p, fc)
+        UnitLowerFactor(work, first_column), SkewTridiagonal(tau), p, fc)
 
 
 def _eliminate(work, tau, g, external_t, pivots, swap_from):

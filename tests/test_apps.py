@@ -39,6 +39,28 @@ class TestPfaffian:
         with pytest.raises(OverflowError, match=r"log\|Pf\| = 807\.6"):
             pfaffian(random_skew(600, seed=3))
 
+    @pytest.mark.parametrize("tau, dtype", [
+        ([1e200, 1, 1e200, 1, 1e-200, 1, 1e-200], np.float64),
+        ([1e200, 1, 1e200, 1, 1e-200, 1, 1e-200], np.complex128),
+        ([1e-200, 1, 1e-200, 1, 1e200, 1, 1e200], np.float64),
+        ([1e30, 1, 1e30, 1, 1e-30, 1, 1e-30], np.float32),
+    ], ids=["float64-high-first", "complex128-high-first", "float64-low-first",
+            "float32-high-first"])
+    def test_partial_products_out_of_range(self, tau, dtype):
+        # |Pf| is about 1, but the partial products overflow or underflow
+        m = len(tau) + 1
+        x = SkewMatrixLower(np.zeros((m, m), dtype=dtype, order="F"))
+        x.data[np.arange(1, m), np.arange(m - 1)] = tau
+        res = ltlt_blk_piv(x.copy(), fused="var2b")
+        assert np.array_equal(res.t.tau, np.array(tau, dtype=dtype))
+        exact = Fraction(res.p.sign())
+        for t in res.t.tau[0::2]:
+            exact *= -Fraction(float(t.real))
+        got = pfaffian(x)
+        assert got.dtype == dtype and got.imag == 0
+        want = np.real(dtype(exact))
+        assert abs(Fraction(float(got.real)) - exact) <= 4 * Fraction(float(np.spacing(want)))
+
     def test_odd_dimension_zero(self):
         assert pfaffian(random_skew(3, seed=1)) == 0.0
         assert pfaffian(random_skew(7, seed=2)) == 0.0

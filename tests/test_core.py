@@ -262,7 +262,3 @@ class TestUnitLowerFactor:
     def test_empty_with_first_column(self):
         d = UnitLowerFactor(np.zeros((0, 0)), first_column=np.zeros(0)).dense()
         assert d.shape == (0, 0)
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            UnitLowerFactor(np.zeros((2, 2)), mode="diag")

@@ -123,6 +123,8 @@ HEADER = "%%MatrixMarket matrix coordinate real skew-symmetric\n"
     ("negative-size", "-3 -3 0\n", "malformed size line"),
     ("negative-nnz", "3 3 -1\n", "malformed size line"),
     ("non-integer-size", "3 3 x\n", "malformed size line"),
+    ("index-beyond-int64", "3 3 1\n9223372036854775808 1 1\n",
+     r"line 3: expected 'row col value'"),
 ])
 def test_malformed_entries_rejected(tmp_path, name, body, match):
     path = tmp_path / f"{name}.mtx"
@@ -216,7 +218,7 @@ def test_factor_file_format_exact(tmp_path):
     d = np.zeros((4, 4), order="F")
     d[2, 0], d[3, 0], d[3, 1] = 0.25, 0.0, -1.5
     d[2, 1] = 7.0  # the subdiagonal slot of L column 2: not part of L's body
-    l = UnitLowerFactor(d, "ones", np.array([0.0, 0.5, 0.0]))
+    l = UnitLowerFactor(d, np.array([0.0, 0.5, 0.0]))
     result = FactorizationResult(l, SkewTridiagonal(np.array([1.0, 2.0, 3.0])),
                                  PermutationVector(np.zeros(4, dtype=np.int64), 4),
                                  FlopCounter())

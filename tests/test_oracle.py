@@ -117,7 +117,7 @@ class TestFlopModel:
     def test_values(self):
         assert flop_model("unb-rl", 100) == pytest.approx(2e6 / 3)
         assert flop_model("unb-ll", 100) == pytest.approx(1e6 / 3)
-        assert flop_model("blk-var1", 100, 100) == flop_model("unb-2step", 100)
+        assert flop_model("blk-var1", 100) == flop_model("unb-2step", 100)
 
     def test_unknown(self):
         with pytest.raises(ValueError):
