@@ -166,6 +166,13 @@ def _bench_one(variant, m, block, pivot, seed, reps, features=None):
     return (seconds, gflops, fc.level2 + fc.panel, fc.level3)
 
 
+def _omp_outer_threads():
+    """The outer level of OMP_NUM_THREADS (the first field of a per-level
+    list), the count OpenBLAS takes; 1 if unset or not a count."""
+    field = os.environ.get("OMP_NUM_THREADS", "").split(",")[0].strip()
+    return int(field) if field.isdecimal() else 1
+
+
 def _int_list(text, default):
     """Items of a comma-separated int option ([default] if unset); None if malformed."""
     try:
@@ -397,7 +404,6 @@ def build_parser():
                                  description="Skew-symmetric L T L^T factorization toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    threads = dict(type=int, default=int(os.environ.get("OMP_NUM_THREADS", "1") or 1))
     blas_threads = ("the BLAS thread count comes from OPENBLAS_NUM_THREADS/OMP_NUM_THREADS "
                     "at process start")
 
@@ -409,7 +415,7 @@ def build_parser():
     fp.add_argument("--variant", default="blk-var2b", choices=VARIANT_NAMES)
     fp.add_argument("--block", type=int, default=DEFAULT_BLOCK)
     fp.add_argument("--pivot", action="store_true")
-    fp.add_argument("--threads", **threads, help=f"accepted and ignored; {blas_threads}")
+    fp.add_argument("--threads", type=int, help=f"accepted and ignored; {blas_threads}")
     fp.add_argument("--out", metavar="PREFIX", help="write L/tau/p files")
     fp.set_defaults(func=cmd_factor)
 
@@ -428,9 +434,9 @@ def build_parser():
     bp.add_argument("--variant", default="blk-var2b",
                     help="variant name or comma-separated list")
     bp.add_argument("--pivot", action="store_true")
-    bp.add_argument("--threads", **threads,
-                    help="value recorded in the CSV 'threads' column (default: "
-                         f"OMP_NUM_THREADS or 1); {blas_threads}")
+    bp.add_argument("--threads", type=int, default=_omp_outer_threads(),
+                    help="value recorded in the CSV 'threads' column (default: the "
+                         f"outer level of OMP_NUM_THREADS, or 1); {blas_threads}")
     bp.add_argument("--reps", type=int, default=3)
     bp.add_argument("--seed", type=int, default=0)
     bp.add_argument("--out", metavar="PATH", help="CSV file (default stdout)")

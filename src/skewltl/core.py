@@ -62,10 +62,9 @@ class SkewMatrixLower:
     @classmethod
     def from_dense(cls, dense):
         dense = np.asarray(dense)
-        buf = np.zeros(dense.shape, dtype=dense.dtype, order="F")
-        il, jl = np.tril_indices(dense.shape[0], -1)
-        buf[il, jl] = dense[il, jl]
-        return cls(buf)
+        x = cls(np.zeros(dense.shape, dtype=dense.dtype, order="F"))
+        np.copyto(x.data, dense, where=np.tri(x.m, k=-1, dtype=bool))
+        return x
 
     def dense(self):
         """Full array expanded by antisymmetry (testing and I/O helper)."""
@@ -101,8 +100,8 @@ def random_skew(m, seed=0, scale=1.0):
     """
     rng = np.random.Generator(np.random.Philox(seed))
     x = SkewMatrixLower.zeros(m)
-    il, jl = np.tril_indices(m, -1)
-    x.data[il, jl] = scale * rng.standard_normal(il.size)
+    for i in range(1, m):   # row by row: the draws in row-major order
+        x.data[i, :i] = scale * rng.standard_normal(i)
     return x
 
 

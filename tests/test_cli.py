@@ -281,6 +281,30 @@ def test_factor_threads_flag(capsys):
     assert code == 0
 
 
+def test_omp_per_level_list(capsys, monkeypatch):
+    # a valid OpenMP per-level list: factor and verify ignore it, and bench
+    # records the outer level
+    monkeypatch.setenv("OMP_NUM_THREADS", "4,2")
+    code, _, _ = run(capsys, "factor", "--size", "10")
+    assert code == 0
+    code, _, _ = run(capsys, "verify", "--max-size", "8")
+    assert code == 0
+    code, out, _ = run(capsys, "bench", "--size", "16", "--block", "8", "--reps", "1")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO("\n".join(out.strip().splitlines()[1:]))))
+    assert [r["threads"] for r in rows] == ["4"]
+
+
+@pytest.mark.parametrize("value,threads", [("3", 3), ("2,1", 2), ("", 1), ("x", 1),
+                                           (",4", 1), (None, 1)])
+def test_bench_threads_default(monkeypatch, value, threads):
+    if value is None:
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OMP_NUM_THREADS", value)
+    assert cli._omp_outer_threads() == threads
+
+
 #: CLI variant -> (unpivoted direct call, pivoted direct call or None)
 DIRECT = {
     "unb-rl": (lambda x: ltlt_unb_rl(x), lambda x: ltlt_unb_rl(x, pivot=True)),

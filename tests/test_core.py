@@ -29,6 +29,24 @@ class TestSkewMatrixLower:
         assert x.data[1, 2] == 0.0
         assert x.data[1, 1] == 0.0
 
+    @pytest.mark.parametrize("m", [0, 1, 2, 7, 300])
+    @pytest.mark.parametrize("seed,scale", [(0, 1.0), (3, 1.0), (11, 0.5), (5, -1e-3)])
+    def test_construction_matches_index_arrays(self, m, seed, scale):
+        # the seeded instances of the test suites depend on these bytes: one
+        # draw of all strictly-lower entries in row-major order
+        rng = np.random.Generator(np.random.Philox(seed))
+        want = np.zeros((m, m), order="F")
+        il, jl = np.tril_indices(m, -1)
+        want[il, jl] = scale * rng.standard_normal(il.size)
+        got = random_skew(m, seed=seed, scale=scale).data
+        assert got.flags.f_contiguous
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+        dense = np.random.default_rng(seed).standard_normal((m, m))
+        ref = np.zeros((m, m), order="F")
+        ref[il, jl] = dense[il, jl]
+        got = SkewMatrixLower.from_dense(dense).data
+        assert got.flags.f_contiguous and got.tobytes() == ref.tobytes()
+
     def test_norm_matches_dense(self):
         x = random_skew(9, seed=2)
         assert np.isclose(x.norm(), np.linalg.norm(x.dense()))

@@ -125,6 +125,8 @@ HEADER = "%%MatrixMarket matrix coordinate real skew-symmetric\n"
     ("non-integer-size", "3 3 x\n", "malformed size line"),
     ("index-beyond-int64", "3 3 1\n9223372036854775808 1 1\n",
      r"line 3: expected 'row col value'"),
+    # Python's int() takes "1_0"; np.loadtxt, the reader's one parser, does not
+    ("underscore-index", "3 3 1\n2 1 1.0\n1_0 1 1\n", r"line 4: expected 'row col value'"),
 ])
 def test_malformed_entries_rejected(tmp_path, name, body, match):
     path = tmp_path / f"{name}.mtx"
@@ -141,6 +143,45 @@ def test_first_offending_entry_reported(tmp_path, monkeypatch, chunk):
     path.write_text(HEADER + "4 4 3\n2 1 1.0\n3 1 nan\n1 3 2.0\n")
     with pytest.raises(ValueError, match=r"non-finite value 'nan' at \(3, 1\)"):
         mm_read(path)
+
+
+# lines 5-9 hold comment and blank lines only, and so does one chunk at
+# each chunk size 1-3 (chunks start at line 4)
+BODY = "% c\n4 4 2\n2 1 1.0\n% x\n% y\n\n% w\n\n3 1 2.0\n\n"
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_comment_only_chunks_do_not_end_the_read(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(mmio, "_CHUNK_ROWS", chunk)
+    path = tmp_path / "co.mtx"
+    path.write_text(HEADER + BODY)
+    x = mm_read(path)
+    assert (x.data[1, 0], x.data[2, 0]) == (1.0, 2.0)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_malformed_line_in_later_chunk_named(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(mmio, "_CHUNK_ROWS", chunk)
+    path = tmp_path / "late.mtx"
+    path.write_text(HEADER + BODY + "% z\n1_0 1 1\n4 1 3.0\n")
+    with pytest.raises(ValueError, match=r"late\.mtx: line 13: expected 'row col value' "
+                                         r"with integer indices, got '1_0 1 1'"):
+        mm_read(path)
+
+
+def test_malformed_file_opened_once(tmp_path, monkeypatch):
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(mmio, "open", counting_open, raising=False)
+    path = tmp_path / "once.mtx"
+    path.write_text(HEADER + "3 3 2\n2 1 1.0\n3 1 x\n")
+    with pytest.raises(ValueError, match="line 4: expected 'row col value'"):
+        mm_read(path)
+    assert opened == [path]
 
 
 def test_comments_and_blank_lines_in_body(tmp_path):
