@@ -9,9 +9,9 @@ import weakref
 import numpy as np
 
 from . import _blas
-from .blocked import DEFAULT_BLOCK, _check_block, ltlt_blk_piv
+from .blocked import DEFAULT_BLOCK, ltlt_blk_piv
 from .core import SingularT, SkewMatrixLower, _work_dtype, compose_permutation
-from .unblocked import _check_dtype
+from .unblocked import _check_dtype, _check_size
 
 #: The last factorization ``_factor`` made and no call has reused yet, as
 #: (weak reference to the input's data, key, result), or None.  Replaced
@@ -52,7 +52,7 @@ def _factor(x, b, needed):
     pointers, and a freed scalar's address can be reused."""
     global _last
     if b is not None:
-        _check_block(b)
+        _check_size(b, "block size")
     _check_dtype(x)
     if not needed:
         return None
@@ -199,16 +199,17 @@ def solve(x: SkewMatrixLower, b, block=None, tol_scale=10.0):
     columns are right-hand sides (solved together); any other shape raises
     ValueError.  The result is complex when X or b is, float64 otherwise;
     m = 0 gives an empty result of b's shape; a non-finite b raises
-    ValueError.  Raises SingularT for (numerically) singular X, which
-    includes every odd m.  The factorization is reused as in ``pfaffian``.
+    ValueError before X is factored.  Raises SingularT for (numerically)
+    singular X, which includes every odd m.  The factorization is reused
+    as in ``pfaffian``.
     """
     m = x.m
     b = np.asarray(b)
     if b.ndim not in (1, 2) or b.shape[0] != m:
         raise ValueError("dimension mismatch")
-    res = _factor(x, block, needed=m > 0)
     dt = _work_dtype(x.data, b)
     b = np.asarray_chkfinite(b.astype(dt, copy=False))  # LAPACK is called unchecked
+    res = _factor(x, block, needed=m > 0)
     if m == 0:
         return np.empty_like(b)
     one_d = b.ndim == 1

@@ -31,7 +31,7 @@ from .instrument import FlopCounter, counting
 from .kernels2 import apply_row_pivots, skew_rank2, skew_tridiag_gemv
 from .kernels3 import (PANEL_NB, form_w, skew_rank2k, skew_tridiag_gemm,
                        skew_tridiag_rankk)
-from .unblocked import _PANELS, FactorizationResult, _finalize, _workbuf
+from .unblocked import _PANELS, FactorizationResult, _check_size, _finalize, _workbuf
 
 DEFAULT_BLOCK = 256
 PIVOTED_FUSED = ("var1", "var2a", "var2b")
@@ -69,11 +69,6 @@ LADDER = {
     "step5": Features(fused_l2=True, external_t=True, fused_l3=True),
 }
 LADDER_VARIANT = {name: ("blk-var2b" if name == "step5" else "blk-var1") for name in LADDER}
-
-
-def _check_block(b):
-    if b < 1:
-        raise ValueError("block size must be >= 1")
 
 
 def _require_external_t(f, who):
@@ -186,7 +181,7 @@ def _right_looking(x, b, scheme, panel_variant, features, pivot):
     if pivot and scheme not in PIVOTED_FUSED:
         raise InvalidVariant(f"fused must be one of {PIVOTED_FUSED}, got {scheme!r}")
     s = _SCHEDULES[scheme]
-    _check_block(b)
+    _check_size(b, "block size")
     f = features or Features()
     if s.carry:
         _require_external_t(f, ("pivoted " if pivot else "") + s.name)

@@ -292,19 +292,13 @@ def invert_permutation(perm: np.ndarray) -> np.ndarray:
 
 
 def _sym_swap_lower(buf, a, b):
-    """Swap rows/columns a < b of a skew matrix held in lower storage.
+    """Swap rows/columns 0 <= a < b < n of the n x n skew matrix in lower storage.
 
     Only stored (strictly-lower) positions are touched; the entries strictly
     between a and b cross the diagonal under the swap and change sign, as
     does (b, a).
     """
-    if a == b:
-        return
-    if a > b:
-        a, b = b, a
     n = buf.shape[0]
-    if b >= n or a < 0:
-        raise IndexError("pivot index out of range")
     # rows a and b left of column a: plain row swap
     if a > 0:
         tmp = buf[a, :a].copy()

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,11 @@ def _check_dtype(x: SkewMatrixLower):
     if x.data.dtype.kind in "biu":
         raise TypeError(f"input dtype {x.data.dtype} is not supported: pass a "
                         "floating-point, complex or object array")
+
+
+def _check_size(n, what):
+    if operator.index(n) < 1:  # TypeError for a non-integer
+        raise ValueError(f"{what} must be >= 1")
 
 
 #: Numeric work buffers of at least this many bytes are mapped by ``_zeroed``.
@@ -275,20 +281,27 @@ def _apply_pending(work, base, climit, fused_l2=True):
 _PANELS = {"ll": _panel_ll, "rl": _panel_rl, "twostep": _panel_twostep}
 
 
-def _apply_first_column(work, first_column):
-    m = work.shape[0]
-    fcvec = np.asarray(first_column)
-    if fcvec.shape != (m - 1,):
-        raise ValueError("first_column must have length m - 1")
-    fcvec = fcvec.astype(work.dtype, copy=True) if work.dtype != object else fcvec.copy()
-    skew_rank2(work[1:, 1:], 1, fcvec, work[1:, 0], 1)
-    return fcvec
-
-
 def _unblocked(x, variant, pivot, width=None, first_column=None):
-    """The frame of the unblocked drivers: one ``_PANELS[variant]`` pass over
-    the whole matrix, or with ``width`` over its first columns only, in the
-    panel flop scope and with L and the pivots trimmed to the panel."""
+    """The frame of the unblocked drivers: check every argument, then make
+    one ``_PANELS[variant]`` pass over the whole matrix or, with ``width``,
+    over its first columns only, to which L and the pivots are trimmed."""
+    if variant not in _PANELS:
+        raise InvalidVariant(f"unknown panel variant {variant!r}")
+    if pivot and variant != "ll" and width is not None:
+        raise InvalidVariant("a pivoted panel factorization must be left-looking")
+    fcvec = None
+    if first_column is not None:
+        if pivot:
+            raise ValueError("first_column is only supported without pivoting")
+        _check_dtype(x)  # before converting to x's dtype
+        fcvec = np.asarray(first_column)
+        if fcvec.shape != (x.m - 1,):
+            raise ValueError("first_column must have length m - 1")
+        fcvec = fcvec.astype(x.data.dtype) if x.data.dtype != object else fcvec.copy()
+        if fcvec.dtype != object and not np.isfinite(fcvec).all():
+            raise ValueError("first_column must be finite")
+    if width is not None:
+        _check_size(width, "panel width")
     work, tau = _workbuf(x)
     m = x.m
     pivots = np.zeros(m, dtype=np.int64) if pivot else None
@@ -296,10 +309,9 @@ def _unblocked(x, variant, pivot, width=None, first_column=None):
     # full: climit m, not m - 1, keeps each rank-2 one square skew_rank2 call
     climit = m if width is None else min(width, m)
     fc = FlopCounter()
-    fcvec = None
     with counting(fc):
-        if first_column is not None:
-            fcvec = _apply_first_column(work, first_column)
+        if fcvec is not None:
+            skew_rank2(work[1:, 1:], 1, fcvec, work[1:, 0], 1)
         with instrument.scope("trailing" if width is None else "panel"):
             _PANELS[variant](work, tau, 0, nelim, climit=climit, pivots=pivots)
     if width is not None:
@@ -322,12 +334,10 @@ def ltlt_unb_ll(x: SkewMatrixLower, pivot=False, first_column=None) -> Factoriza
     tridiagonal-sandwiched matrix-vector product (the Hessenberg factor is
     never materialized), then eliminated.  Roughly m^3/3 flops.
 
-    ``first_column`` selects a non-default first column of L; the matching
-    first transform is applied up front and the standard loop then runs
-    unchanged.
+    ``first_column`` (length m - 1, finite, unpivoted only) selects a
+    non-default first column of L; the matching first transform is applied
+    up front and the standard loop then runs unchanged.
     """
-    if pivot and first_column is not None:
-        raise ValueError("first_column is only supported without pivoting")
     return _unblocked(x, "ll", pivot, first_column=first_column)
 
 
@@ -347,14 +357,7 @@ def ltlt_unb_panel(x: SkewMatrixLower, panel_width, variant="ll", pivot=False,
     left-looking variant.
 
     The returned factors are partial: only the first panel_width columns of
-    L/T (and pivots) are populated.
+    L/T (and pivots) are populated.  ``panel_width`` is an integer >= 1;
+    ``first_column`` is as in ``ltlt_unb_ll``.
     """
-    if variant not in _PANELS:
-        raise InvalidVariant(f"unknown panel variant {variant!r}")
-    if pivot and variant != "ll":
-        raise InvalidVariant("a pivoted panel factorization must be left-looking")
-    if pivot and first_column is not None:
-        raise ValueError("first_column is only supported without pivoting")
-    if panel_width < 1:
-        raise ValueError("panel width must be >= 1")
     return _unblocked(x, variant, pivot, panel_width, first_column)

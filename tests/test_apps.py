@@ -217,6 +217,15 @@ class TestSolve:
         with pytest.raises(ValueError, match="infs or NaNs"):
             solve(random_skew(6, seed=0), b)
 
+    def test_nonfinite_rhs_rejected_before_factoring(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("factored before the right-hand side was checked")
+
+        monkeypatch.setattr(apps, "ltlt_blk_piv", refuse)
+        monkeypatch.setattr(apps, "_last", None)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve(random_skew(6, seed=0), np.array([1, 2, np.nan, 4, 5, 6.0]))
+
     def test_one_by_one_singular(self):
         with pytest.raises(SingularT, match="at row 0"):
             solve(random_skew(1, seed=0), np.ones(1))

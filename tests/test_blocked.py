@@ -396,12 +396,48 @@ class TestInputPass:
         ltlt_unb_ll,
         pfaffian,
         lambda x: solve(x, np.ones(x.m)),
-    ], ids=["var2b", "piv", "unb_ll", "pfaffian", "solve"])
+        lambda x: ltlt_unb_ll(x, first_column=np.full(3, np.nan)),
+    ], ids=["var2b", "piv", "unb_ll", "pfaffian", "solve", "unb_ll_nan_first_column"])
     def test_integer_and_bool_rejected(self, run, dtype):
         x = SkewMatrixLower(np.tril(np.ones((4, 4)), -1).astype(dtype, order="F"))
         name = np.dtype(dtype).name
         with pytest.raises(TypeError, match=rf"input dtype {name} is not supported"):
             run(x)
+
+    @pytest.mark.parametrize("b", [16.0, np.float64(8.0)], ids=["float", "float64"])
+    @pytest.mark.parametrize("run", [
+        lambda x, b: ltlt_blk_var2b(x, b=b),
+        lambda x, b: ltlt_blk_piv(x, b=b),
+        lambda x, b: pfaffian(x, b=b),
+        lambda x, b: solve(x, np.ones(x.m), block=b),
+    ], ids=["var2b", "piv", "pfaffian", "solve"])
+    def test_non_integral_block_before_nonfinite(self, run, b):
+        # the NaN's ValueError would come from the input pass
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            run(_nan_at_30_2(), b)
+
+    def test_non_integral_panel_width_before_nonfinite(self):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            ltlt_unb_panel(_nan_at_30_2(), 2.5)
+
+    @pytest.mark.parametrize("m,b", [(5, 8.0), (4, 2.5)])
+    def test_non_integral_block_at_any_m(self, m, b):
+        # odd m needs no factorization; at m = 4 one block of 2.5 covers it
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            pfaffian(random_skew(m), b=b)
+
+    @pytest.mark.parametrize("fused", ["left", "twostep"])
+    def test_pivoted_fused_scheme_rejected(self, fused):
+        with pytest.raises(InvalidVariant, match="fused must be one of"):
+            ltlt_blk_piv(random_skew(8, seed=1), b=4, fused=fused)
+
+    @pytest.mark.parametrize("driver", BLOCKED + [
+        ltlt_blk_piv, ltlt_unb_rl, ltlt_unb_ll, ltlt_unb_twostep, ltlt_unb_panel,
+    ], ids=lambda d: d.__name__)
+    def test_empty_input_rejected(self, driver):
+        width = (1,) if driver is ltlt_unb_panel else ()
+        with pytest.raises(ValueError, match="m >= 1 required"):
+            driver(SkewMatrixLower.zeros(0), *width)
 
     @pytest.mark.parametrize("factor", [
         lambda x: ltlt_blk_var2b(x, b=64),
@@ -421,6 +457,14 @@ class TestInputPass:
             assert np.array_equal(r.t.tau, ref.t.tau)
             assert np.array_equal(r.p.pivots, ref.p.pivots)
             assert r.l.data.tobytes() == ref.l.data.tobytes()
+
+
+def _nan_at_30_2():
+    """An m = 40 input with one NaN, at (30, 2).  The input pass raises
+    ValueError on it, so any other error was raised before that pass."""
+    x = random_skew(40, seed=33)
+    x.data[30, 2] = np.nan
+    return x
 
 
 _MMAP = mmap.mmap   # the class, even where a test has replaced mmap.mmap

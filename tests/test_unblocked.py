@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from skewltl import (InvalidVariant, SkewMatrixLower, ZeroPivot, ltlt_unb_ll,
                      ltlt_unb_panel, ltlt_unb_rl, ltlt_unb_twostep,
                      random_skew, reconstruct)
+from skewltl import unblocked
 from skewltl.oracle import exact_from_int, flop_model, gauss_elim_exact
 from skewltl.unblocked import _workbuf
 
@@ -147,6 +148,71 @@ class TestFirstColumn:
         with pytest.raises(ValueError):
             ltlt_unb_ll(random_skew(4, seed=0), first_column=np.zeros(4))
 
+    def test_length_checked_before_input(self):
+        x = random_skew(40, seed=33)
+        x.data[30, 2] = np.nan
+        with pytest.raises(ValueError, match="first_column must have length m - 1"):
+            ltlt_unb_ll(x, first_column=np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_nonfinite_rejected_before_input(self, monkeypatch, dtype, bad):
+        x, fc = _nonfinite_first_column(dtype, bad)
+        monkeypatch.setattr(unblocked, "_workbuf", _input_read)
+        with pytest.raises(ValueError, match="first_column must be finite"):
+            ltlt_unb_ll(x, first_column=fc)
+
+    def test_float32_input_keeps_its_dtype(self):
+        m = 9
+        x = SkewMatrixLower(random_skew(m, seed=6).data.astype(np.float32))
+        fc = 0.5 * np.random.Generator(np.random.Philox(7)).standard_normal(m - 1)
+        r = ltlt_unb_ll(x, first_column=fc)
+        assert r.l.first_column.dtype == np.float32 and r.t.tau.dtype == np.float32
+        assert np.array_equal(r.l.first_column, fc.astype(np.float32))
+        assert residual(x, r) <= 100 * np.finfo(np.float32).eps * m
+
+    def test_complex128(self):
+        m = 9
+        x = SkewMatrixLower(random_skew(m, seed=6).data + 1j * random_skew(m, seed=8).data)
+        rng = np.random.Generator(np.random.Philox(7))
+        fc = 0.5 * (rng.standard_normal(m - 1) + 1j * rng.standard_normal(m - 1))
+        r = ltlt_unb_ll(x, first_column=fc)
+        assert r.l.first_column.dtype == np.complex128
+        assert np.array_equal(r.l.dense()[1:, 0], fc)
+        assert not np.shares_memory(r.l.first_column, fc)
+        assert residual(x, r) <= 100 * EPS * m
+
+    def test_fraction_exact(self):
+        m = 8
+        x = random_int_skew(np.random.Generator(np.random.Philox(15)), m)
+        fc = np.array([Fraction(k - 3, 4) for k in range(m - 1)], dtype=object)
+        r = ltlt_unb_ll(x, first_column=fc)
+        assert r.l.first_column.dtype == object
+        assert not np.shares_memory(r.l.first_column, fc)
+        assert np.array_equal(reconstruct(r.l, r.t, r.p).dense(), x.dense())
+
+    def test_object_input_float_first_column(self):
+        # an object input converts nothing: the column keeps the dtype given
+        x = random_int_skew(np.random.Generator(np.random.Philox(16)), 6)
+        fc = np.full(5, 0.25)
+        r = ltlt_unb_ll(x, first_column=fc)
+        assert r.l.first_column.dtype == np.float64
+        assert np.array_equal(r.l.first_column, fc)
+        assert not np.shares_memory(r.l.first_column, fc)
+
+
+def _nonfinite_first_column(dtype, bad, m=12):
+    """A finite m x m input of ``dtype`` and a first column of that dtype
+    whose entry 3 is ``bad`` (its imaginary part, for complex)."""
+    x = SkewMatrixLower(random_skew(m, seed=14).data.astype(dtype))
+    fc = np.full(m - 1, 0.5, dtype=dtype)
+    fc[3] = complex(0.0, bad) if dtype == np.complex128 else bad
+    return x, fc
+
+
+def _input_read(x):
+    raise AssertionError("the input was read before the arguments were checked")
+
 
 class TestTwoStep:
     def test_odd_dimension_matches_rl(self):
@@ -235,6 +301,14 @@ class TestPanel:
         with pytest.raises(ValueError, match="first_column"):
             ltlt_unb_panel(random_skew(6, seed=1), -1, pivot=True,
                            first_column=np.zeros(5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_nonfinite_first_column_rejected_before_input(self, monkeypatch, dtype, bad):
+        x, fc = _nonfinite_first_column(dtype, bad)
+        monkeypatch.setattr(unblocked, "_workbuf", _input_read)
+        with pytest.raises(ValueError, match="first_column must be finite"):
+            ltlt_unb_panel(x, 5, first_column=fc)
 
     def test_updates_confined_to_panel(self):
         # columns at or beyond the panel edge keep their original values
