@@ -44,9 +44,9 @@ class Features:
 
     * ``fused_l2``: fused level-2 kernels (vs. two rank-1 passes and a
       materialized tridiagonal matrix-vector product).
-    * ``external_t``: tau in an external vector with explicit unit
-      subdiagonal entries, enabling single fused trailing updates; when
-      off, Variant 1 falls back to the split stripe + sandwich updates.
+    * ``external_t``: single fused trailing updates that read L's stored
+      unit entries; when off, Variant 1's split stripe + sandwich updates and
+      a column-by-column panel.  tau is in an external vector either way.
     * ``fused_l3``: produce the tridiagonal-multiplied operand panels
       inside packing (vs. materializing them wholly and updating the full
       square).
@@ -78,13 +78,14 @@ def _require_external_t(f, who):
 
 def _run_panel(work, tau, base, nelim, variant, f, carry, pivots=None):
     """Panel of [base, base + nelim); ``carry`` folds in the delayed
-    transform of the previous block.  With ``pivots`` the panel is the
-    pivoted left-looking pass, and its row swaps then reach the older L
-    columns in one blocked pass."""
+    transform of the previous block; the inner blocks of a left-looking
+    panel are ``PANEL_NB`` wide, or 1 without ``f.external_t``.  With ``pivots``
+    the panel is the pivoted left-looking pass, and its row swaps then reach
+    the older L columns in one blocked pass."""
     with instrument.scope("panel"):
         _PANELS[variant](work, tau, base, nelim, carry=carry, pivots=pivots,
-                         fused_l2=f.fused_l2, external_t=f.external_t,
-                         fused_l3=f.fused_l3, width=PANEL_NB)
+                         fused_l2=f.fused_l2, fused_l3=f.fused_l3,
+                         width=PANEL_NB if f.external_t else 1)
     lo = base - 1 if carry else base
     if pivots is not None and lo > 0:
         sub = pivots[base + 1: base + nelim + 1]
@@ -122,7 +123,7 @@ def _straggler(work, tau, rt):
 
 
 def _split_trailing(work, tau, r, rt, f):
-    """Variant 1 trailing update without explicit unit subdiagonal entries:
+    """Variant 1 trailing update that reads no unit subdiagonal entry of L:
     the stripe below the next pivot column is updated by explicit
     matrix-vector terms, and the remaining block by a sandwich whose A
     operand excludes the unit row."""
@@ -209,7 +210,7 @@ def _right_looking(x, b, scheme, panel_variant, features, pivot):
             if s.straggler:
                 _straggler(work, tau, rt)
             r = rt
-    return _finalize(work, tau, pivots, m, fc, external_t=f.external_t)
+    return _finalize(work, tau, pivots, m, fc)
 
 
 def ltlt_blk_var1(x: SkewMatrixLower, b=DEFAULT_BLOCK, panel_variant="ll",

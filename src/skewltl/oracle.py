@@ -61,7 +61,7 @@ def exact_from_int(lower_entries, m) -> SkewMatrixLower:
     it = iter(lower_entries)
     for j in range(m - 1):
         for i in range(j + 1, m):
-            buf[i, j] = Fraction(next(it))
+            buf[i, j] = Fraction(int(next(it)))  # a Python int: no overflow
     return SkewMatrixLower(buf)
 
 

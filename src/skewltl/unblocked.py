@@ -8,16 +8,16 @@ Working layout: the input's strictly-lower part is copied into a zeroed
 column-major buffer that the elimination overwrites column by column; the
 input is not read on or above its diagonal.  The buffer is returned as
 ``L.data``; on and above its diagonal it is not part of L: today it holds
-zeros, but a later driver may use it as scratch.  Once column g is eliminated,
-buffer column g holds column g+1 of L shifted one column left (with an
-explicit 1.0 in the subdiagonal slot once tau[g] has moved to the external
-vector), so a finished panel is directly consumable as the A operand of the
-sandwiched trailing updates.  The same holds inside a panel: the blocked
-drivers' unpivoted left-looking panels eliminate in inner blocks, and each
-block first takes the couplings of the finished columns to its left in one
-sandwiched product.  A panel writes only its own columns.  When the column
-stride would be a multiple of 4 KiB, the buffer is allocated one cache line
-taller and the drivers work on (and return L as) its top m rows:
+zeros, but a later driver may use it as scratch.  Once column g is
+eliminated, buffer column g holds column g+1 of L shifted one column left,
+its unit entry an explicit 1.0 in the subdiagonal slot (tau[g] is kept in
+its own vector), so a finished panel is directly consumable as the A operand
+of the sandwiched trailing updates.  The same holds inside a panel: the
+blocked drivers' unpivoted left-looking panels eliminate in inner blocks,
+and each block first takes the couplings of the finished columns to its left
+in one sandwiched product.  A panel writes only its own columns.  When the
+column stride would be a multiple of 4 KiB, the buffer is allocated one
+cache line taller and the drivers work on (and return L as) its top m rows:
 power-of-two strides map the columns of a block onto the same cache sets,
 which at m = 4096 made the trailing update run at a third of its padded
 rate.  A buffer of 32 MiB or more is a private mapping on 4 KiB pages
@@ -63,6 +63,8 @@ def _check_dtype(x: SkewMatrixLower):
 
 
 def _check_size(n, what):
+    if isinstance(n, bool):  # operator.index takes True as 1
+        raise TypeError(f"{what}: a bool cannot be interpreted as an integer")
     if operator.index(n) < 1:  # TypeError for a non-integer
         raise ValueError(f"{what} must be >= 1")
 
@@ -127,9 +129,7 @@ def _workbuf(x: SkewMatrixLower):
     return work, np.zeros(m - 1, dtype=work.dtype)
 
 
-def _finalize(work, tau, pivots, m, fc, external_t=True, first_column=None):
-    if not external_t:
-        np.fill_diagonal(work[1:], 1)
+def _finalize(work, tau, pivots, m, fc, first_column=None):
     if pivots is None:
         p = PermutationVector(np.zeros(0, dtype=np.int64), m)
     else:
@@ -138,8 +138,9 @@ def _finalize(work, tau, pivots, m, fc, external_t=True, first_column=None):
         UnitLowerFactor(work, first_column), SkewTridiagonal(tau), p, fc)
 
 
-def _eliminate(work, tau, g, external_t, pivots, swap_from):
-    """Turn buffer column g into column g+1 of L and record tau[g].
+def _eliminate(work, tau, g, pivots, swap_from):
+    """Turn buffer column g into column g+1 of L, with its explicit unit
+    entry in the subdiagonal slot, and record tau[g] in the external vector.
 
     With ``pivots``, the largest-magnitude element of the subcolumn is
     swapped to the top first (ties to the lowest index) and the offset is
@@ -163,12 +164,11 @@ def _eliminate(work, tau, g, external_t, pivots, swap_from):
     else:
         below /= piv
         instrument.add_flops("level2", below.size)
-    if external_t:
-        work[g + 1, g] = 1
+    work[g + 1, g] = 1
 
 
 def _panel_ll(work, tau, base, nelim, *, carry=False, climit=None, pivots=None,
-              fused_l2=True, external_t=True, fused_l3=True, width=1):
+              fused_l2=True, fused_l3=True, width=1):
     """Left-looking eliminations of columns [base, base + nelim).
 
     The leftmost column in the column updates is lo == base for a fresh
@@ -177,18 +177,17 @@ def _panel_ll(work, tau, base, nelim, *, carry=False, climit=None, pivots=None,
     column is updated against the L columns and tau values to its left, then
     pivoted (with ``pivots``), then eliminated; swaps reach columns >= lo.
 
-    The columns are taken in inner blocks of ``width`` (1 with pivoting,
-    and without ``external_t``, where the unit entries of L that the block
-    product reads are not stored).  Before a block [g0, g1) is eliminated, the
-    couplings of columns [lo, g0) reach all of it in one sandwiched
-    matrix-matrix product on its strictly-lower part; each column g then
-    needs only the couplings of [max(lo, g0 - 1), g), one matrix-vector
-    product of at most ``width`` + 1 columns.  The two ranges share column
-    g0 - 1 but no coupling.  Pivoting stays column by column: a symmetric
-    swap with a column outside the block would mix updated and raw data.
-    Writes stay inside the panel's columns.
+    The columns are taken in inner blocks of ``width``.  Before a block
+    [g0, g1) is eliminated, the couplings of columns [lo, g0) reach all of
+    it in one sandwiched matrix-matrix product on its strictly-lower part;
+    each column g then needs only the couplings of [max(lo, g0 - 1), g), one
+    matrix-vector product of at most ``width`` + 1 columns, whose row operand
+    is the stored row of L, unit entry included.  The two ranges share
+    column g0 - 1 but no coupling.  Pivoting stays column by column whatever
+    ``width`` is: a symmetric swap with a column outside the block would mix
+    updated and raw data.  Writes stay inside the panel's columns.
     """
-    if pivots is not None or not external_t:
+    if pivots is not None:
         width = 1
     lo = base - 1 if carry else base
     end = base + nelim
@@ -202,19 +201,14 @@ def _panel_ll(work, tau, base, nelim, *, carry=False, climit=None, pivots=None,
         left = max(lo, mid - 1)
         for g in range(g0, g1):
             if g - left >= 2:
-                if external_t:
-                    xrow = work[g, left:g]
-                else:
-                    xrow = work[g, left:g].copy()
-                    xrow[-1] = 1
                 skew_tridiag_gemv(work[g + 1:, g], -1, work[g + 1:, left:g],
-                                  SkewTridiagonal(tau[left + 1:g]), xrow, 1,
-                                  fused=fused_l2)
-            _eliminate(work, tau, g, external_t, pivots, lo)
+                                  SkewTridiagonal(tau[left + 1:g]), work[g, left:g],
+                                  1, fused=fused_l2)
+            _eliminate(work, tau, g, pivots, lo)
 
 
 def _panel_rl(work, tau, base, nelim, *, carry=False, climit=None, pivots=None,
-              fused_l2=True, external_t=True, fused_l3=True, width=1):
+              fused_l2=True, fused_l3=True, width=1):
     """Right-looking eliminations of [base, base + nelim) with the trailing
     rank-2 updates restricted to columns < climit (square skew part plus
     rectangular general part; default base + nelim); pivot swaps reach
@@ -224,15 +218,14 @@ def _panel_rl(work, tau, base, nelim, *, carry=False, climit=None, pivots=None,
     if carry:
         _apply_pending(work, base, climit, fused_l2)
     for g in range(base, base + nelim):
-        _eliminate(work, tau, g, external_t, pivots, base)
+        _eliminate(work, tau, g, pivots, base)
         s = g + 2
         trapezoid_rank2(work[s:, s:climit], 1, work[s:, g], work[s:, g + 1],
                         fused=fused_l2)
 
 
 def _panel_twostep(work, tau, base, nelim, *, carry=False, climit=None,
-                   pivots=None, fused_l2=True, external_t=True, fused_l3=True,
-                   width=1):
+                   pivots=None, fused_l2=True, fused_l3=True, width=1):
     """Two-step eliminations of [base, base + nelim): because the diagonal
     partner of the pivot is zero, the transform from column g leaves column
     g+1 untouched, so a pair of transforms comes straight from current data
@@ -248,13 +241,13 @@ def _panel_twostep(work, tau, base, nelim, *, carry=False, climit=None,
     g = base
     while g < end:
         if g + 1 >= end:
-            _eliminate(work, tau, g, external_t, pivots, base)
+            _eliminate(work, tau, g, pivots, base)
             trapezoid_rank2(work[g + 2:, g + 2:climit], 1, work[g + 2:, g],
                             work[g + 2:, g + 1], fused=fused_l2)
             g += 1
             continue
-        _eliminate(work, tau, g, external_t, pivots, base)
-        _eliminate(work, tau, g + 1, external_t, pivots, base)
+        _eliminate(work, tau, g, pivots, base)
+        _eliminate(work, tau, g + 1, pivots, base)
         s = g + 3
         if g + 2 < min(climit, m):
             lcol1 = work[s:, g]        # L column g+1 below row g+2

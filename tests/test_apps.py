@@ -186,6 +186,10 @@ class TestSolve:
         with pytest.raises(ValueError, match="dimension mismatch"):
             solve(random_skew(6, seed=0), np.arange(12.0))
 
+    def test_tridiag_solve_rhs_length_rejected(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            _tridiag_solve(np.ones(3), np.ones(5))
+
     def test_three_dimensional_rhs_rejected(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             solve(random_skew(6, seed=0), np.ones((6, 2, 2)))

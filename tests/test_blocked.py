@@ -13,12 +13,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from skewltl import (Features, PivotUnsupported, SkewMatrixLower, ZeroPivot,
+from skewltl import (LADDER, Features, PivotUnsupported, SkewMatrixLower, ZeroPivot,
                      ltlt_blk_left, ltlt_blk_piv, ltlt_blk_twostep,
                      ltlt_blk_var1, ltlt_blk_var2a, ltlt_blk_var2b,
                      ltlt_unb_ll, ltlt_unb_panel, ltlt_unb_rl, ltlt_unb_twostep,
                      pfaffian, random_skew, reconstruct, solve)
 from skewltl import blocked, instrument, unblocked
+from skewltl.blocked import LADDER_VARIANT
 from skewltl.cli import VARIANT_NAMES, run_variant
 from skewltl.core import (InvalidVariant, SkewTridiagonal, UnitLowerFactor,
                           compose_permutation)
@@ -404,7 +405,8 @@ class TestInputPass:
         with pytest.raises(TypeError, match=rf"input dtype {name} is not supported"):
             run(x)
 
-    @pytest.mark.parametrize("b", [16.0, np.float64(8.0)], ids=["float", "float64"])
+    @pytest.mark.parametrize("b", [16.0, np.float64(8.0), True],
+                             ids=["float", "float64", "bool"])
     @pytest.mark.parametrize("run", [
         lambda x, b: ltlt_blk_var2b(x, b=b),
         lambda x, b: ltlt_blk_piv(x, b=b),
@@ -420,7 +422,17 @@ class TestInputPass:
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             ltlt_unb_panel(_nan_at_30_2(), 2.5)
 
-    @pytest.mark.parametrize("m,b", [(5, 8.0), (4, 2.5)])
+    @pytest.mark.parametrize("run", [
+        lambda x: ltlt_unb_panel(x, True),
+        lambda x: ltlt_blk_left(x, True),
+    ], ids=["unb_panel", "left"])
+    def test_positional_bool_rejected_before_nonfinite(self, run):
+        # operator.index takes True as 1: a positional True, meant as
+        # pivot=True, must not pass as a panel width or block size of 1
+        with pytest.raises(TypeError, match="a bool cannot be interpreted as an integer"):
+            run(_nan_at_30_2())
+
+    @pytest.mark.parametrize("m,b", [(5, 8.0), (4, 2.5), (5, True), (4, True)])
     def test_non_integral_block_at_any_m(self, m, b):
         # odd m needs no factorization; at m = 4 one block of 2.5 covers it
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
@@ -523,6 +535,55 @@ class TestFeatures:
         x.data[2, 0] = 1.0
         with pytest.raises(ZeroPivot):
             ltlt_blk_var1(x, b=2)
+
+
+def _layout_runs():
+    """{id: run} for every public driver, pivoted and unpivoted where it has
+    both, and every ``LADDER`` step both ways."""
+    b = PANEL_NB + 8   # two panels; the first is eliminated in inner blocks
+    runs = {d.__name__ + "-piv" * p: lambda x, d=d, p=p: d(x, pivot=p)
+            for d in (ltlt_unb_rl, ltlt_unb_ll, ltlt_unb_twostep) for p in (False, True)}
+    runs |= {d.__name__: lambda x, d=d: d(x, b=b) for d in BLOCKED}
+    runs |= {f"ltlt_blk_piv-{fu}": lambda x, fu=fu: ltlt_blk_piv(x, b=b, fused=fu)
+             for fu in blocked.PIVOTED_FUSED}
+    by_name = {"blk-var1": ltlt_blk_var1, "blk-var2b": ltlt_blk_var2b}
+    for step, f in LADDER.items():
+        name = LADDER_VARIANT[step]
+        runs[step] = lambda x, d=by_name[name], f=f: d(x, b=b, features=f)
+        runs[step + "-piv"] = lambda x, fu=name[len("blk-"):], f=f: ltlt_blk_piv(
+            x, b=b, fused=fu, features=f)
+    return runs
+
+
+_LAYOUT_RUNS = _layout_runs()
+_PANEL_WIDTH = PANEL_NB + 5
+
+
+def _layout_input(dtype):
+    m = 2 * PANEL_NB + 9
+    if dtype is Fraction:
+        return random_int_skew(np.random.Generator(np.random.Philox(47)), m)
+    return random_skew(m, seed=47)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, Fraction], ids=["float64", "Fraction"])
+@pytest.mark.parametrize("name", list(_LAYOUT_RUNS))
+def test_unit_subdiagonal_stored(name, dtype):
+    # every elimination stores L's unit entry in the subdiagonal slot and
+    # moves tau to its own vector: the panels' inner-block products and the
+    # fused trailing updates read those slots as L
+    r = _LAYOUT_RUNS[name](_layout_input(dtype))
+    assert all(v == 1 for v in np.diagonal(r.l.data, -1))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, Fraction], ids=["float64", "Fraction"])
+@pytest.mark.parametrize("variant,pivot", [("ll", False), ("rl", False),
+                                           ("twostep", False), ("ll", True)])
+def test_unit_subdiagonal_stored_in_panel(variant, pivot, dtype):
+    r = ltlt_unb_panel(_layout_input(dtype), _PANEL_WIDTH, variant=variant, pivot=pivot)
+    sub = np.diagonal(r.l.data, -1)
+    assert all(v == 1 for v in sub[:_PANEL_WIDTH])
+    assert not any(sub[_PANEL_WIDTH:])   # columns not factored stay zero
 
 
 @pytest.mark.slow

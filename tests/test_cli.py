@@ -9,9 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from skewltl import (PivotUnsupported, SkewMatrixLower, ltlt_blk_left, ltlt_blk_piv,
-                     ltlt_blk_twostep, ltlt_blk_var1, ltlt_blk_var2a, ltlt_blk_var2b,
-                     ltlt_unb_ll, ltlt_unb_rl, ltlt_unb_twostep, mm_write, random_skew)
+from skewltl import (InvalidVariant, PivotUnsupported, SkewMatrixLower, ltlt_blk_left,
+                     ltlt_blk_piv, ltlt_blk_twostep, ltlt_blk_var1, ltlt_blk_var2a,
+                     ltlt_blk_var2b, ltlt_unb_ll, ltlt_unb_rl, ltlt_unb_twostep, mm_write,
+                     random_skew)
 from skewltl import cli
 from skewltl.cli import VARIANT_NAMES, main, run_variant
 
@@ -274,6 +275,18 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
+    def test_check_raising_other_error_reported(self, capsys, monkeypatch):
+        # a check whose own machinery breaks fails with the error's type named
+        def broken():
+            raise KeyError("tau")
+
+        monkeypatch.setattr(cli, "_verify_checks",
+                            lambda *args: [("broken", broken), ("fine", lambda: None)])
+        code, out, _ = run(capsys, "verify", "--max-size", "16")
+        assert code == 1
+        assert out.splitlines() == ["FAIL broken: KeyError: 'tau'", "ok   fine",
+                                    "FAILED (1 failures)"]
+
 
 def test_factor_threads_flag(capsys):
     code, out, _ = run(capsys, "factor", "--size", "64", "--threads", "2",
@@ -325,6 +338,10 @@ DIRECT = {
 class TestDispatch:
     def test_table_covers_every_variant(self):
         assert set(DIRECT) == set(VARIANT_NAMES)
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(InvalidVariant, match="unknown variant 'nope'"):
+            run_variant("nope", random_skew(4, seed=0))
 
     @pytest.mark.parametrize("variant", VARIANT_NAMES)
     @pytest.mark.parametrize("pivot", [False, True])

@@ -1,5 +1,7 @@
 """Storage types, splitting, pivots, reconstruction, packing."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,6 +269,22 @@ class TestPack:
         assert np.array_equal(l2.dense(), r.l.dense())
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: pack_in_place(SkewMatrixLower.zeros(4), UnitLowerFactor.identity(3),
+                           SkewTridiagonal(np.zeros(3))), "dimension mismatch"),
+    (lambda: pack_in_place(SkewMatrixLower.zeros(4), UnitLowerFactor.identity(4),
+                           SkewTridiagonal(np.zeros(4))), "dimension mismatch"),
+    (lambda: SkewTridiagonal(np.zeros((2, 2))), "tau must be a vector"),
+    (lambda: UnitLowerFactor(np.zeros((3, 2))), "square 2-D buffer required"),
+    (lambda: PermutationVector(np.zeros((2, 2), dtype=np.int64), 4),
+     "pivots must be a vector"),
+    (lambda: PermutationVector(np.zeros(4, dtype=np.int64), 3), "more pivots than rows"),
+], ids=["pack-l", "pack-t", "tau-2d", "l-nonsquare", "pivots-2d", "pivots-too-many"])
+def test_bad_shape_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestUnitLowerFactor:
     def test_identity_dense(self):
         assert np.array_equal(UnitLowerFactor.identity(3).dense(), np.eye(3))
@@ -276,6 +294,16 @@ class TestUnitLowerFactor:
         l.first_column = np.array([0.5, -0.25])
         d = l.dense()
         assert np.array_equal(d[:, 0], [1.0, 0.5, -0.25])
+
+    @pytest.mark.parametrize("dtype", [np.float64, object], ids=["float64", "Fraction"])
+    def test_max_abs_counts_first_column(self, dtype):
+        # max|L| is 1.5 in the stored columns and -3.25 in the first column
+        buf = np.zeros((4, 4), dtype=dtype, order="F")
+        buf[3, 1] = Fraction(3, 2) if dtype is object else 1.5
+        fc = [Fraction(1, 4), Fraction(-13, 4), Fraction(0)]
+        l = UnitLowerFactor(buf, np.array(fc, dtype=dtype))
+        assert l.max_abs() == 3.25
+        assert UnitLowerFactor(buf).max_abs() == 1.5
 
     def test_empty_with_first_column(self):
         d = UnitLowerFactor(np.zeros((0, 0)), first_column=np.zeros(0)).dense()

@@ -416,3 +416,18 @@ class TestTrapezoid:
         before = buf.copy()
         trapezoid_rank2(buf[3:, 3:3], 1.0, np.ones(1), np.ones(1))
         assert np.array_equal(buf, before)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gen_rank2(np.zeros((4, 3)), 1.0, np.ones(4), np.ones(2), np.ones(4), np.ones(3)),
+    lambda: gen_rank2(np.zeros((4, 3)), 1.0, np.ones(4), np.ones(3), np.ones(5), np.ones(3)),
+    lambda: skew_tridiag_gemv(np.zeros(4), 1.0, np.zeros((4, 3)),
+                              SkewTridiagonal(np.zeros(1)), np.ones(3)),
+    lambda: skew_tridiag_gemv(np.zeros(4), 1.0, np.zeros((4, 3)),
+                              SkewTridiagonal(np.zeros(2)), np.ones(2)),
+    lambda: skew_tridiag_gemv(np.zeros(5), 1.0, np.zeros((4, 3)),
+                              SkewTridiagonal(np.zeros(2)), np.ones(3)),
+], ids=["gen_rank2-u", "gen_rank2-y", "gemv-t", "gemv-x", "gemv-y"])
+def test_dimension_mismatch_rejected(call):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        call()

@@ -405,6 +405,32 @@ class TestFormW:
         assert np.allclose(lower_of(c2), want)
 
 
+def _f(*shape):
+    return np.zeros(shape, order="F")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: skew_tridiag_gemm(_f(3, 4), 1.0, _f(3, 2), SkewTridiagonal(np.zeros(1)),
+                              _f(3, 4)),
+    lambda: skew_tridiag_gemm(_f(3, 5), 1.0, _f(3, 2), SkewTridiagonal(np.zeros(1)),
+                              _f(2, 4)),
+    lambda: skew_tridiag_gemm(_f(3, 4), 1.0, _f(3, 2), SkewTridiagonal(np.zeros(2)),
+                              _f(2, 4)),
+    lambda: skew_rank2k(_f(4, 4), 1.0, _f(4, 2), _f(4, 3)),
+    lambda: skew_rank2k(_f(5, 5), 1.0, _f(4, 2), _f(4, 2)),
+    lambda: form_w(_f(4, 3), form_s_splitting(SkewTridiagonal(np.zeros(3)))),
+    lambda: _blas.gemm_into(_f(3, 4), _f(2, 2), _f(2, 4), 1.0),
+    lambda: _blas.gemm_into(_f(3, 4), _f(3, 2), _f(3, 4), 1.0),
+    lambda: _blas.trsm(_f(3, 4), _f(3, 2), False),
+    lambda: _blas.gtsv(np.zeros(2), np.ones(3), np.zeros(3), _f(3, 1)),
+    lambda: _blas.gtsv(np.zeros(2), np.ones(3), np.zeros(2), _f(4, 1)),
+], ids=["gemm-b", "gemm-c", "gemm-t", "rank2k-b", "rank2k-c", "form_w",
+        "gemm_into-a", "gemm_into-b", "trsm", "gtsv-du", "gtsv-b"])
+def test_dimension_mismatch_rejected(call):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        call()
+
+
 def test_triple_loop_validates_matmul_chain():
     p, k, q = 5, 3, 4
     a = RNG.standard_normal((p, k))

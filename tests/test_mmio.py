@@ -59,6 +59,18 @@ def test_malformed_header(tmp_path):
         mm_read(path)
 
 
+@pytest.mark.parametrize("header, match", [
+    ("%%MatrixMarket matrix coordinate real", "malformed Matrix Market header"),
+    ("%%MatrixMarket matrix array real skew-symmetric",
+     "unsupported format 'matrix array real'"),
+], ids=["three-fields", "array"])
+def test_unsupported_header_rejected(tmp_path, header, match):
+    path = tmp_path / "bad.mtx"
+    path.write_text(header + "\n2 2 0\n")
+    with pytest.raises(ValueError, match=match):
+        mm_read(path)
+
+
 def test_symmetry_mismatch(tmp_path):
     path = tmp_path / "sym.mtx"
     path.write_text("%%MatrixMarket matrix coordinate real symmetric\n2 2 0\n")

@@ -81,6 +81,12 @@ class TestGaussElimExact:
             gauss_elim_exact(random_int_skew(rng, 17))
 
 
+def test_exact_from_int_keeps_python_ints():
+    # numpy integers inside a Fraction would overflow int64 in silence
+    x = exact_from_int(np.array([2 ** 40], dtype=np.int64), 2)
+    assert x.data[1, 0] ** 2 == 2 ** 80
+
+
 class TestPfaffianBruteforce:
     def test_two_by_two(self):
         x = exact_from_int([4], 2)
