@@ -10,12 +10,11 @@ two-step driver realizes the 2a sandwich as W = A S plus a skew rank-2k
 whose zero columns are skipped.  The left-looking driver pulls all prior
 couplings into the panel block from the left instead of updating the
 trailing matrix.  All of them, pivoted or not, run one shared block loop;
-the schedule table ``_SCHEDULES`` is the one place they differ, and each
-panel is factored through the table ``unblocked._PANELS``.
-
-Pivoted factorization exists for the right-looking family only; its panel
-factorization is forced to left-looking because pivoting can pull in
-trailing columns that have not seen the current panel's updates.
+the schedule table ``_SCHEDULES`` is the one place they differ.  Every
+panel is factored by the left-looking core ``unblocked._panel_ll``, the one
+core that can pivot: a swap can pull in trailing columns that have not seen
+the current panel's updates.  Pivoted factorization exists for the
+right-looking family only.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from .instrument import FlopCounter, counting
 from .kernels2 import apply_row_pivots, skew_rank2, skew_tridiag_gemv
 from .kernels3 import (PANEL_NB, form_w, skew_rank2k, skew_tridiag_gemm,
                        skew_tridiag_rankk)
-from .unblocked import _PANELS, FactorizationResult, _check_size, _finalize, _workbuf
+from .unblocked import FactorizationResult, _check_size, _finalize, _panel_ll, _workbuf
 
 DEFAULT_BLOCK = 256
 PIVOTED_FUSED = ("var1", "var2a", "var2b")
@@ -42,8 +41,10 @@ class Features:
     """Runtime feature toggles mirroring the optimization ladder, so the
     step-by-step comparison needs no rebuilds.
 
-    * ``fused_l2``: fused level-2 kernels (vs. two rank-1 passes and a
-      materialized tridiagonal matrix-vector product).
+    * ``fused_l2``: the panel's and the split update's tridiagonal
+      matrix-vector products apply T on the fly (vs. materializing T
+      first).  No driver reaches ``gen_rank2``, whose ``fused=False`` (two
+      rank-1 passes) stays a kernel option.
     * ``external_t``: single fused trailing updates that read L's stored
       unit entries; when off, Variant 1's split stripe + sandwich updates and
       a column-by-column panel.  tau is in an external vector either way.
@@ -73,19 +74,20 @@ LADDER_VARIANT = {name: ("blk-var2b" if name == "step5" else "blk-var1") for nam
 
 def _require_external_t(f, who):
     if not f.external_t:
-        raise InvalidVariant(f"{who} needs tau in an external vector (external_t)")
+        raise InvalidVariant(f"{who} has no split trailing update: it needs "
+                             "Features(external_t=True)")
 
 
-def _run_panel(work, tau, base, nelim, variant, f, carry, pivots=None):
-    """Panel of [base, base + nelim); ``carry`` folds in the delayed
-    transform of the previous block; the inner blocks of a left-looking
-    panel are ``PANEL_NB`` wide, or 1 without ``f.external_t``.  With ``pivots``
-    the panel is the pivoted left-looking pass, and its row swaps then reach
-    the older L columns in one blocked pass."""
+def _run_panel(work, tau, base, nelim, f, carry, pivots=None):
+    """Left-looking panel of [base, base + nelim); ``carry`` folds in the
+    delayed transform of the previous block; the inner blocks are
+    ``PANEL_NB`` wide, or 1 without ``f.external_t``.  With ``pivots`` the
+    panel pivots column by column, and its row swaps then reach the older L
+    columns in one blocked pass."""
     with instrument.scope("panel"):
-        _PANELS[variant](work, tau, base, nelim, carry=carry, pivots=pivots,
-                         fused_l2=f.fused_l2, fused_l3=f.fused_l3,
-                         width=PANEL_NB if f.external_t else 1)
+        _panel_ll(work, tau, base, nelim, carry=carry, pivots=pivots,
+                  fused_l2=f.fused_l2, fused_l3=f.fused_l3,
+                  width=PANEL_NB if f.external_t else 1)
     lo = base - 1 if carry else base
     if pivots is not None and lo > 0:
         sub = pivots[base + 1: base + nelim + 1]
@@ -174,7 +176,7 @@ _SCHEDULES = {
 }
 
 
-def _right_looking(x, b, scheme, panel_variant, features, pivot):
+def _right_looking(x, b, scheme, features, pivot):
     """The block loop of every blocked driver, as ``_SCHEDULES[scheme]``
     directs: factor a panel, then apply one sandwiched trailing update (or,
     left-looking, first pull all finished couplings into the panel's block
@@ -186,8 +188,6 @@ def _right_looking(x, b, scheme, panel_variant, features, pivot):
     f = features or Features()
     if s.carry:
         _require_external_t(f, ("pivoted " if pivot else "") + s.name)
-    if panel_variant not in _PANELS:
-        raise InvalidVariant(f"unknown panel variant {panel_variant!r}")
     work, tau = _workbuf(x)
     m = x.m
     pivots = np.zeros(m, dtype=np.int64) if pivot else None
@@ -201,7 +201,7 @@ def _right_looking(x, b, scheme, panel_variant, features, pivot):
                 skew_tridiag_gemm(work[r:, r:r + be], -1, work[r:, 0:r],
                                   SkewTridiagonal(tau[1:r]), work[r:r + be, 0:r].T,
                                   1, tril=True, fused=f.fused_l3)
-            _run_panel(work, tau, r, be, panel_variant, f, carry, pivots)
+            _run_panel(work, tau, r, be, f, carry, pivots)
             rt = r + be
             if not f.external_t:
                 _split_trailing(work, tau, r, rt, f)
@@ -213,33 +213,33 @@ def _right_looking(x, b, scheme, panel_variant, features, pivot):
     return _finalize(work, tau, pivots, m, fc)
 
 
-def ltlt_blk_var1(x: SkewMatrixLower, b=DEFAULT_BLOCK, panel_variant="ll",
+def ltlt_blk_var1(x: SkewMatrixLower, b=DEFAULT_BLOCK,
                   features=None) -> FactorizationResult:
     """Blocked right-looking factorization (Variant 1): panel, sandwiched
     rank-k trailing update, straggler rank-2.  Block size 1 reproduces the
     unblocked right-looking driver."""
-    return _right_looking(x, b, "var1", panel_variant, features, pivot=False)
+    return _right_looking(x, b, "var1", features, pivot=False)
 
 
-def ltlt_blk_var2a(x: SkewMatrixLower, b=DEFAULT_BLOCK, panel_variant="ll",
+def ltlt_blk_var2a(x: SkewMatrixLower, b=DEFAULT_BLOCK,
                    features=None) -> FactorizationResult:
     """Fused blocked right-looking (Variant 2a): the last transform of each
     panel stays unapplied and rides along in the next iteration's sandwich,
     so no trailing rank-2 is ever issued."""
-    return _right_looking(x, b, "var2a", panel_variant, features, pivot=False)
+    return _right_looking(x, b, "var2a", features, pivot=False)
 
 
-def ltlt_blk_var2b(x: SkewMatrixLower, b=DEFAULT_BLOCK, panel_variant="ll",
+def ltlt_blk_var2b(x: SkewMatrixLower, b=DEFAULT_BLOCK,
                    features=None) -> FactorizationResult:
     """Fused blocked right-looking (Variant 2b): each panel computes one
     extra column of L and T (the first panel eliminates b+1 columns), so
     every sandwich covers a complete set of couplings; the state matches
     Variant 2a shifted by one column."""
-    return _right_looking(x, b, "var2b", panel_variant, features, pivot=False)
+    return _right_looking(x, b, "var2b", features, pivot=False)
 
 
 def ltlt_blk_left(x: SkewMatrixLower, b=DEFAULT_BLOCK, pivot=False,
-                  panel_variant="ll", features=None) -> FactorizationResult:
+                  features=None) -> FactorizationResult:
     """Blocked left-looking factorization: before each panel is factored,
     all prior couplings are pulled into it from the left with one
     trapezoidal sandwiched matrix-matrix product; the trailing matrix is
@@ -251,16 +251,16 @@ def ltlt_blk_left(x: SkewMatrixLower, b=DEFAULT_BLOCK, pivot=False,
     """
     if pivot:
         raise PivotUnsupported("a blocked pivoted left-looking algorithm cannot exist")
-    return _right_looking(x, b, "left", panel_variant, features, pivot=False)
+    return _right_looking(x, b, "left", features, pivot=False)
 
 
-def ltlt_blk_twostep(x: SkewMatrixLower, b=DEFAULT_BLOCK, panel_variant="ll",
+def ltlt_blk_twostep(x: SkewMatrixLower, b=DEFAULT_BLOCK,
                      features=None) -> FactorizationResult:
     """Blocked two-step path: Variant 2a's iteration with the sandwich
     realized as W = A S plus a skew rank-2k update with k = floor(b/2)
     effective columns; with b = 2 each block update is a single rank-2
     pair.  Unpivoted only; the pivoted path uses the var2* drivers."""
-    return _right_looking(x, b, "twostep", panel_variant, features, pivot=False)
+    return _right_looking(x, b, "twostep", features, pivot=False)
 
 
 def ltlt_blk_piv(x: SkewMatrixLower, b=DEFAULT_BLOCK, fused="var1",
@@ -274,4 +274,4 @@ def ltlt_blk_piv(x: SkewMatrixLower, b=DEFAULT_BLOCK, fused="var1",
     ``fused`` picks the trailing-update scheme (var1 straggler, or the 2a /
     2b fused sandwiches).  The first pivot is never computed: it is zero.
     """
-    return _right_looking(x, b, fused, "ll", features, pivot=True)
+    return _right_looking(x, b, fused, features, pivot=True)

@@ -331,7 +331,7 @@ def _verify_checks(max_size, seed, exact):
         m = min(max_size, 12)
         x = random_skew(m, seed=seed + 70)
         full = ltlt_unb_ll(x, pivot=True)
-        part = ltlt_unb_panel(x, 4, variant="ll", pivot=True)
+        part = ltlt_unb_panel(x, 4, pivot=True)
         assert np.array_equal(part.t.tau[:4], full.t.tau[:4]), "panel tau prefix"
         assert np.array_equal(part.p.pivots, full.p.pivots[:5]), "panel pivot prefix"
 

@@ -331,8 +331,12 @@ def reconstruct(l: UnitLowerFactor, t: SkewTridiagonal, p: PermutationVector | N
     """P^T (L T L^T) P as a lower-stored skew matrix (testing aid)."""
     if l.m != t.m or (p is not None and p.m != l.m):
         raise ValueError("dimension mismatch")
+    from .kernels3 import _pack_t  # kernels3 imports this module
+
     ld = l.dense()
-    full = ld.dot(t.dense()).dot(ld.T)
+    # T L^T by two shifted row products: one m^3 product, not two
+    lt = ld.T.astype(np.result_type(ld, t.tau), copy=False)
+    full = ld.dot(_pack_t(t.tau, lt))
     if p is not None and len(p) and p.nontrivial:
         perm = compose_permutation(p)
         inv = invert_permutation(perm)

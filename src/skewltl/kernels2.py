@@ -129,19 +129,3 @@ def apply_row_pivots(block, p, forward=True):
         idx = invert_permutation(idx)
     block[rows] = block[idx[rows]]
 
-
-def trapezoid_rank2(c, alpha, x, y, fused=True):
-    """Apply alpha*(x y^T - y x^T) to the lower trapezoid ``c`` (p x q,
-    q <= p): a skew part on its top q x q square plus the general rectangle
-    below it.  Writes never touch positions at or above the square's
-    diagonal.
-
-    Realized as a square skew_rank2 plus a rectangular gen_rank2 rather
-    than a bespoke trapezoid kernel.  x and y have one entry per row of c.
-    """
-    p, q = c.shape
-    if q == 0:
-        return
-    skew_rank2(c[:q], alpha, x[:q], y[:q], 1)
-    if q < p:
-        gen_rank2(c[q:], alpha, x[q:], y[:q], -y[q:], x[:q], 1, fused=fused)

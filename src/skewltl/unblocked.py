@@ -1,8 +1,9 @@
-"""Unblocked factorization drivers and the panel cores the blocked drivers
-reuse: right-looking (modified Parlett-Reid), left-looking (modified
-Aasen), and the two-step driver that eliminates a pair of columns per
-iteration.  The table ``_PANELS`` holds the three cores under one keyword
-signature; the frame ``_unblocked`` runs one of them as an unblocked driver.
+"""Unblocked factorization drivers and their three cores: right-looking
+(modified Parlett-Reid), left-looking (modified Aasen), and two-step, which
+eliminates a pair of columns per iteration.  The left-looking core
+``_panel_ll`` is also the panel core of ``ltlt_unb_panel`` and of every
+blocked driver; the other two factor whole matrices only.  The frame
+``_unblocked`` runs one core as an unblocked driver.
 
 Working layout: the input's strictly-lower part is copied into a zeroed
 column-major buffer that the elimination overwrites column by column; the
@@ -35,11 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import instrument
-from .core import (InvalidVariant, PermutationVector, SkewMatrixLower,
-                   SkewTridiagonal, UnitLowerFactor, ZeroPivot,
-                   _sym_swap_lower)
+from .core import (PermutationVector, SkewMatrixLower, SkewTridiagonal,
+                   UnitLowerFactor, ZeroPivot, _sym_swap_lower)
 from .instrument import FlopCounter, counting
-from .kernels2 import skew_rank2, skew_tridiag_gemv, trapezoid_rank2
+from .kernels2 import skew_rank2, skew_tridiag_gemv
 from .kernels3 import NB, _tril_mask, skew_tridiag_gemm
 
 
@@ -167,15 +167,20 @@ def _eliminate(work, tau, g, pivots, swap_from):
     work[g + 1, g] = 1
 
 
-def _panel_ll(work, tau, base, nelim, *, carry=False, climit=None, pivots=None,
-              fused_l2=True, fused_l3=True, width=1):
-    """Left-looking eliminations of columns [base, base + nelim).
+def _panel_ll(work, tau, base, nelim, *, carry=False, pivots=None, fused_l2=True,
+              fused_l3=True, width=1):
+    """Left-looking eliminations of columns [base, base + nelim): the one
+    panel core, of the unblocked left-looking and panel drivers and of every
+    blocked driver's panels.  It is the only core that can pivot inside a
+    panel: a swap may pull in a trailing column that has not seen the
+    panel's updates, and this core applies them to each column just before
+    eliminating it.
 
     The leftmost column in the column updates is lo == base for a fresh
     panel, lo == base - 1 with ``carry``, when the delayed transform of the
-    previous block still has to be folded in; ``climit`` is unused.  Each
-    column is updated against the L columns and tau values to its left, then
-    pivoted (with ``pivots``), then eliminated; swaps reach columns >= lo.
+    previous block still has to be folded in.  Each column is updated
+    against the L columns and tau values to its left, then pivoted (with
+    ``pivots``), then eliminated; swaps reach columns >= lo.
 
     The columns are taken in inner blocks of ``width``.  Before a block
     [g0, g1) is eliminated, the couplings of columns [lo, g0) reach all of
@@ -207,81 +212,48 @@ def _panel_ll(work, tau, base, nelim, *, carry=False, climit=None, pivots=None,
             _eliminate(work, tau, g, pivots, lo)
 
 
-def _panel_rl(work, tau, base, nelim, *, carry=False, climit=None, pivots=None,
-              fused_l2=True, fused_l3=True, width=1):
-    """Right-looking eliminations of [base, base + nelim) with the trailing
-    rank-2 updates restricted to columns < climit (square skew part plus
-    rectangular general part; default base + nelim); pivot swaps reach
-    columns >= base.  With ``carry`` the delayed coupling of the previous
-    block is applied first."""
-    climit = base + nelim if climit is None else climit
-    if carry:
-        _apply_pending(work, base, climit, fused_l2)
-    for g in range(base, base + nelim):
-        _eliminate(work, tau, g, pivots, base)
+def _panel_rl(work, tau, pivots):
+    """Right-looking eliminations of the whole matrix: each transform's skew
+    rank-2 reaches the trailing matrix at once (none after the last)."""
+    m = work.shape[0]
+    for g in range(m - 1):
+        _eliminate(work, tau, g, pivots, 0)
         s = g + 2
-        trapezoid_rank2(work[s:, s:climit], 1, work[s:, g], work[s:, g + 1],
-                        fused=fused_l2)
+        if s < m:
+            skew_rank2(work[s:, s:], 1, work[s:, g], work[s:, g + 1])
 
 
-def _panel_twostep(work, tau, base, nelim, *, carry=False, climit=None,
-                   pivots=None, fused_l2=True, fused_l3=True, width=1):
-    """Two-step eliminations of [base, base + nelim): because the diagonal
+def _panel_twostep(work, tau, pivots):
+    """Two-step eliminations of the whole matrix: because the diagonal
     partner of the pivot is zero, the transform from column g leaves column
     g+1 untouched, so a pair of transforms comes straight from current data
     and their two couplings collapse into one rank-2 via the splitting
-    W = L S.  An odd leftover column falls back to one right-looking step.
-    ``carry`` and ``climit`` act as in ``_panel_rl``; swaps reach columns >= base.
-    """
-    climit = base + nelim if climit is None else climit
-    if carry:
-        _apply_pending(work, base, climit, fused_l2)
+    W = L S.  An odd leftover column is the last one, with no trailing
+    matrix left to update."""
     m = work.shape[0]
-    end = base + nelim
-    g = base
-    while g < end:
-        if g + 1 >= end:
-            _eliminate(work, tau, g, pivots, base)
-            trapezoid_rank2(work[g + 2:, g + 2:climit], 1, work[g + 2:, g],
-                            work[g + 2:, g + 1], fused=fused_l2)
-            g += 1
-            continue
-        _eliminate(work, tau, g, pivots, base)
-        _eliminate(work, tau, g + 1, pivots, base)
+    for g in range(0, m - 2, 2):
+        _eliminate(work, tau, g, pivots, 0)
+        _eliminate(work, tau, g + 1, pivots, 0)
         s = g + 3
-        if g + 2 < min(climit, m):
-            lcol1 = work[s:, g]        # L column g+1 below row g+2
-            lcol2 = work[s:, g + 1]    # L column g+2
-            # fold the first coupling into column g+2 alone ...
-            work[s:, g + 2] -= tau[g + 1] * (work[g + 2, g] * lcol2 - lcol1)
-            # ... and combine both couplings in one rank-2 with w, the only
-            # nonzero column of L S for this pair
-            wv = work[s:, g + 2] - tau[g + 1] * lcol1
-            instrument.add_flops("level2", 6 * max(m - s, 0))
-            trapezoid_rank2(work[s:, s:climit], -1, wv, lcol2, fused=fused_l2)
-        g += 2
+        lcol1 = work[s:, g]        # L column g+1 below row g+2
+        lcol2 = work[s:, g + 1]    # L column g+2
+        # fold the first coupling into column g+2 alone ...
+        work[s:, g + 2] -= tau[g + 1] * (work[g + 2, g] * lcol2 - lcol1)
+        # ... and combine both couplings in one rank-2 with w, the only
+        # nonzero column of L S for this pair
+        wv = work[s:, g + 2] - tau[g + 1] * lcol1
+        instrument.add_flops("level2", 6 * (m - s))
+        if s < m:
+            skew_rank2(work[s:, s:], -1, wv, lcol2)
+    if m % 2 == 0:
+        _eliminate(work, tau, m - 2, pivots, 0)
 
 
-def _apply_pending(work, base, climit, fused_l2=True):
-    """Apply the delayed coupling of the previous block, restricted to
-    columns < climit: pairs L column ``base`` with current column data."""
-    s = base + 1
-    trapezoid_rank2(work[s:, s:climit], 1, work[s:, base - 1], work[s:, base],
-                    fused=fused_l2)
-
-
-#: The panel factorizations by variant name, one keyword signature.
-_PANELS = {"ll": _panel_ll, "rl": _panel_rl, "twostep": _panel_twostep}
-
-
-def _unblocked(x, variant, pivot, width=None, first_column=None):
+def _unblocked(x, core, pivot, width=None, first_column=None):
     """The frame of the unblocked drivers: check every argument, then make
-    one ``_PANELS[variant]`` pass over the whole matrix or, with ``width``,
-    over its first columns only, to which L and the pivots are trimmed."""
-    if variant not in _PANELS:
-        raise InvalidVariant(f"unknown panel variant {variant!r}")
-    if pivot and variant != "ll" and width is not None:
-        raise InvalidVariant("a pivoted panel factorization must be left-looking")
+    one pass of ``core`` over the whole matrix or, with ``width``, a
+    left-looking pass over its first columns only, to which L and the
+    pivots are trimmed."""
     fcvec = None
     if first_column is not None:
         if pivot:
@@ -299,14 +271,15 @@ def _unblocked(x, variant, pivot, width=None, first_column=None):
     m = x.m
     pivots = np.zeros(m, dtype=np.int64) if pivot else None
     nelim = m - 1 if width is None else min(width, m - 1)
-    # full: climit m, not m - 1, keeps each rank-2 one square skew_rank2 call
-    climit = m if width is None else min(width, m)
     fc = FlopCounter()
     with counting(fc):
         if fcvec is not None:
             skew_rank2(work[1:, 1:], 1, fcvec, work[1:, 0], 1)
         with instrument.scope("trailing" if width is None else "panel"):
-            _PANELS[variant](work, tau, 0, nelim, climit=climit, pivots=pivots)
+            if core is _panel_ll:
+                _panel_ll(work, tau, 0, nelim, pivots=pivots)
+            else:
+                core(work, tau, pivots)
     if width is not None:
         for j in range(nelim, m):  # strictly lower only: the rest is still zero
             work[j + 1:, j] = 0
@@ -318,7 +291,7 @@ def ltlt_unb_rl(x: SkewMatrixLower, pivot=False) -> FactorizationResult:
     """Right-looking (modified Parlett-Reid) factorization: eliminate one
     column per iteration, immediately applying its skew rank-2 update to
     the whole trailing matrix.  Roughly 2m^3/3 flops."""
-    return _unblocked(x, "rl", pivot)
+    return _unblocked(x, _panel_rl, pivot)
 
 
 def ltlt_unb_ll(x: SkewMatrixLower, pivot=False, first_column=None) -> FactorizationResult:
@@ -331,7 +304,7 @@ def ltlt_unb_ll(x: SkewMatrixLower, pivot=False, first_column=None) -> Factoriza
     non-default first column of L; the matching first transform is applied
     up front and the standard loop then runs unchanged.
     """
-    return _unblocked(x, "ll", pivot, first_column=first_column)
+    return _unblocked(x, _panel_ll, pivot, first_column=first_column)
 
 
 def ltlt_unb_twostep(x: SkewMatrixLower, pivot=False) -> FactorizationResult:
@@ -339,18 +312,17 @@ def ltlt_unb_twostep(x: SkewMatrixLower, pivot=False) -> FactorizationResult:
     iteration with a single trailing rank-2, halving the flops of the
     plain right-looking driver; both subdiagonal values and both L columns
     of each pair are produced."""
-    return _unblocked(x, "twostep", pivot)
+    return _unblocked(x, _panel_twostep, pivot)
 
 
-def ltlt_unb_panel(x: SkewMatrixLower, panel_width, variant="ll", pivot=False,
+def ltlt_unb_panel(x: SkewMatrixLower, panel_width, *, pivot=False,
                    first_column=None) -> FactorizationResult:
-    """Factor only the first ``panel_width`` columns; updates stay inside
-    the panel.  The entire remaining matrix must be passed in: with
-    pivoting, symmetric swaps reach across all of it, which also forces the
-    left-looking variant.
+    """Factor only the first ``panel_width`` columns, left-looking; updates
+    stay inside the panel.  The entire remaining matrix must be passed in:
+    with pivoting, symmetric swaps reach across all of it.
 
     The returned factors are partial: only the first panel_width columns of
     L/T (and pivots) are populated.  ``panel_width`` is an integer >= 1;
     ``first_column`` is as in ``ltlt_unb_ll``.
     """
-    return _unblocked(x, variant, pivot, panel_width, first_column)
+    return _unblocked(x, _panel_ll, pivot, panel_width, first_column)

@@ -53,7 +53,7 @@ class TestDegenerateBlocks:
 
     def test_var2b_b2_matches_twostep_exactly(self):
         x = random_int_skew(np.random.Generator(np.random.Philox(3)), 8)
-        a = ltlt_blk_var2b(x, b=2, panel_variant="twostep")
+        a = ltlt_blk_var2b(x, b=2)
         b = ltlt_unb_twostep(x)
         assert np.array_equal(a.t.tau, b.t.tau)
         assert np.array_equal(a.l.dense(), b.l.dense())
@@ -76,15 +76,6 @@ class TestExactAgreement:
                     r = blk(x, b=b)
                     assert np.array_equal(r.t.tau, tau), (blk.__name__, b)
                     assert np.array_equal(r.l.dense(), lm), (blk.__name__, b)
-
-    def test_panel_variants_agree(self):
-        x = random_int_skew(np.random.Generator(np.random.Philox(5)), 8)
-        lm, tau, _p = gauss_elim_exact(x)
-        for pv in ("ll", "rl", "twostep"):
-            for blk in (ltlt_blk_var1, ltlt_blk_var2a, ltlt_blk_var2b, ltlt_blk_twostep):
-                r = blk(x, b=3, panel_variant=pv)
-                assert np.array_equal(r.t.tau, tau), (blk.__name__, pv)
-                assert np.array_equal(r.l.dense(), lm), (blk.__name__, pv)
 
     def test_padded_object_buffer(self):
         # m = 512 object entries is a 4 KiB column stride, so the object
@@ -254,15 +245,6 @@ class TestTrace:
             blk(x, b=8)
         assert tr.count("skew_rank2", "trailing") == 0
 
-    def test_fused_variants_no_trailing_rank2_rl_panels(self):
-        # panel-confined rank-2s are fine; they carry panel scope
-        x = random_skew(48, seed=26)
-        tr = instrument.CallTrace()
-        with instrument.tracing(tr):
-            ltlt_blk_var2a(x, b=8, panel_variant="rl")
-        assert tr.count("skew_rank2", "trailing") == 0
-        assert tr.count("skew_rank2", "panel") > 0
-
     def test_panel_gemm_only_in_unpivoted_external_t_panels(self):
         # one sandwiched product per inner block after the first; pivoted
         # panels, split-update panels and the unblocked reference stay
@@ -381,14 +363,9 @@ class TestInputPass:
 
     @pytest.mark.parametrize("blk", BLOCKED)
     def test_unknown_panel_variant_at_m1(self, blk):
-        with pytest.raises(InvalidVariant, match="bordered"):
-            blk(random_skew(1), panel_variant="bordered")
-
-    def test_unknown_panel_variant_before_nonfinite(self):
-        x = random_skew(8, seed=1)
-        x.data[5, 2] = np.nan
-        with pytest.raises(InvalidVariant):
-            ltlt_blk_var2b(x, b=4, panel_variant="bordered")
+        # every panel is left-looking: the keyword is gone, its old default too
+        with pytest.raises(TypeError, match="panel_variant"):
+            blk(random_skew(1), panel_variant="ll")
 
     @pytest.mark.parametrize("dtype", [np.int64, np.bool_])
     @pytest.mark.parametrize("run", [
@@ -520,6 +497,19 @@ class TestFeatures:
             with pytest.raises(InvalidVariant):
                 blk(x, b=2, features=Features(external_t=False))
 
+    @pytest.mark.parametrize("run,who", [
+        (lambda x, f: ltlt_blk_var2a(x, b=2, features=f), "blk-var2a"),
+        (lambda x, f: ltlt_blk_var2b(x, b=2, features=f), "blk-var2b"),
+        (lambda x, f: ltlt_blk_left(x, b=2, features=f), "blk-left"),
+        (lambda x, f: ltlt_blk_twostep(x, b=2, features=f), "blk-2step"),
+        (lambda x, f: ltlt_blk_piv(x, b=2, fused="var2b", features=f), "pivoted blk-var2b"),
+    ], ids=["var2a", "var2b", "left", "twostep", "piv-var2b"])
+    def test_require_external_t_message(self, run, who):
+        # only Variant 1 has the split trailing update that external_t=False selects
+        want = f"^{who} has no split trailing update: it needs Features\\(external_t=True\\)$"
+        with pytest.raises(InvalidVariant, match=want):
+            run(random_skew(8, seed=0), Features(external_t=False))
+
     def test_pivoted_split_mode(self):
         m = 32
         x = random_skew(m, seed=29)
@@ -577,10 +567,9 @@ def test_unit_subdiagonal_stored(name, dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, Fraction], ids=["float64", "Fraction"])
-@pytest.mark.parametrize("variant,pivot", [("ll", False), ("rl", False),
-                                           ("twostep", False), ("ll", True)])
-def test_unit_subdiagonal_stored_in_panel(variant, pivot, dtype):
-    r = ltlt_unb_panel(_layout_input(dtype), _PANEL_WIDTH, variant=variant, pivot=pivot)
+@pytest.mark.parametrize("pivot", [False, True], ids=["ll-False", "ll-True"])
+def test_unit_subdiagonal_stored_in_panel(pivot, dtype):
+    r = ltlt_unb_panel(_layout_input(dtype), _PANEL_WIDTH, pivot=pivot)
     sub = np.diagonal(r.l.data, -1)
     assert all(v == 1 for v in sub[:_PANEL_WIDTH])
     assert not any(sub[_PANEL_WIDTH:])   # columns not factored stay zero

@@ -8,8 +8,8 @@ import pytest
 from skewltl import (PermutationVector, SkewMatrixLower, SkewTridiagonal,
                      ltlt_blk_piv, random_skew)
 from skewltl import _blas
-from skewltl.kernels2 import (apply_row_pivots, gen_rank2,
-                              skew_rank2, skew_tridiag_gemv, trapezoid_rank2)
+from skewltl.kernels2 import (apply_row_pivots, gen_rank2, skew_rank2,
+                              skew_tridiag_gemv)
 from skewltl.kernels3 import NB
 
 EPS = np.finfo(float).eps
@@ -394,28 +394,6 @@ def test_level2_oracle_equivalence_100_instances():
         skew_tridiag_gemv(yv, 1.0, av, t, xv, 1.0)
         tol = 4 * EPS * max(n, k) * max(1.0, np.max(np.abs(want)))
         assert np.max(np.abs(yv - want)) <= tol
-
-
-class TestTrapezoid:
-    def test_matches_dense(self):
-        n, start, climit = 10, 3, 7
-        buf = np.asfortranarray(RNG.standard_normal((n, n)))
-        x = RNG.standard_normal(n - start)
-        y = RNG.standard_normal(n - start)
-        want = buf.copy()
-        full = np.zeros((n, n))
-        full[start:, start:] = np.outer(x, y) - np.outer(y, x)
-        il, jl = np.tril_indices(n, -1)
-        keep = (jl >= start) & (jl < climit)
-        want[il[keep], jl[keep]] += full[il[keep], jl[keep]]
-        trapezoid_rank2(buf[start:, start:climit], 1.0, x, y)
-        assert np.allclose(np.tril(buf, -1), np.tril(want, -1))
-
-    def test_empty_region(self):
-        buf = np.asfortranarray(RNG.standard_normal((4, 4)))
-        before = buf.copy()
-        trapezoid_rank2(buf[3:, 3:3], 1.0, np.ones(1), np.ones(1))
-        assert np.array_equal(buf, before)
 
 
 @pytest.mark.parametrize("call", [

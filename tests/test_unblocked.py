@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewltl import (InvalidVariant, SkewMatrixLower, ZeroPivot, ltlt_unb_ll,
-                     ltlt_unb_panel, ltlt_unb_rl, ltlt_unb_twostep,
-                     random_skew, reconstruct)
+from skewltl import (SkewMatrixLower, ZeroPivot, ltlt_unb_ll, ltlt_unb_panel,
+                     ltlt_unb_rl, ltlt_unb_twostep, random_skew, reconstruct)
 from skewltl import unblocked
+from skewltl.instrument import CallTrace, tracing
 from skewltl.oracle import exact_from_int, flop_model, gauss_elim_exact
 from skewltl.unblocked import _workbuf
 
@@ -104,6 +104,23 @@ def test_pivot_boundedness():
             r = driver(x, pivot=True)
             assert r.l.max_abs() <= 1.0 + 1e-15
             assert r.p.pivots[0] == 0
+
+
+#: skew_rank2 calls of (unb-rl, unb-twostep) by m: one per elimination g
+#: with g + 2 < m, one per pair (g, g + 1) with g + 3 < m; an empty
+#: trailing block gets no call, and no block is ever rectangular
+RANK2_CALLS = {1: (0, 0), 2: (0, 0), 3: (1, 0), 4: (2, 1), 7: (5, 2)}
+
+
+@pytest.mark.parametrize("pivot", [False, True])
+@pytest.mark.parametrize("m", list(RANK2_CALLS))
+def test_rank2_call_sequence(m, pivot):
+    x = random_skew(m, seed=m)
+    for driver, calls in zip((ltlt_unb_rl, ltlt_unb_twostep), RANK2_CALLS[m]):
+        tr = CallTrace()
+        with tracing(tr):
+            driver(x, pivot=pivot)
+        assert tr.calls == [("skew_rank2", "trailing")] * calls, driver.__name__
 
 
 class TestBreakdown:
@@ -252,16 +269,16 @@ class TestFlops:
 class TestPanel:
     def test_full_width_equals_driver(self):
         x = random_skew(10, seed=11)
-        for variant, driver in (("rl", ltlt_unb_rl), ("ll", ltlt_unb_ll),
-                                ("twostep", ltlt_unb_twostep)):
-            part = ltlt_unb_panel(x, 10, variant=variant)
-            full = driver(x)
+        for pivot in (False, True):
+            part = ltlt_unb_panel(x, 10, pivot=pivot)
+            full = ltlt_unb_ll(x, pivot=pivot)
             assert np.array_equal(part.t.tau, full.t.tau)
             assert np.array_equal(part.l.dense(), full.l.dense())
+            assert np.array_equal(part.p.pivots, full.p.pivots)
 
     def test_width_one(self):
         x = worked_example()
-        part = ltlt_unb_panel(x, 1, variant="rl")
+        part = ltlt_unb_panel(x, 1)
         assert part.t.tau[0] == 2.0
         assert not part.t.tau[1:].any()
         ld = part.l.dense()
@@ -270,7 +287,7 @@ class TestPanel:
 
     def test_pivoted_prefix_agreement(self):
         x = random_skew(12, seed=12)
-        part = ltlt_unb_panel(x, 4, variant="ll", pivot=True)
+        part = ltlt_unb_panel(x, 4, pivot=True)
         full = ltlt_unb_ll(x, pivot=True)
         assert np.array_equal(part.t.tau[:4], full.t.tau[:4])
         assert np.array_equal(part.p.pivots, full.p.pivots[:5])
@@ -282,14 +299,20 @@ class TestPanel:
         assert np.array_equal(lpart, full.l.dense()[:, 1:5])
 
     def test_pivot_requires_left_looking(self):
-        x = random_skew(8, seed=0)
-        for variant in ("rl", "twostep"):
-            with pytest.raises(InvalidVariant):
-                ltlt_unb_panel(x, 4, variant=variant, pivot=True)
+        # the pivoted panel updates each column from the left before
+        # eliminating it: matrix-vector products, no rank-2 update
+        tr = CallTrace()
+        with tracing(tr):
+            ltlt_unb_panel(random_skew(8, seed=0), 4, pivot=True)
+        assert tr.calls == [("skew_tridiag_gemv", "panel")] * 2
 
     def test_unknown_variant(self):
-        with pytest.raises(InvalidVariant):
-            ltlt_unb_panel(random_skew(4, seed=0), 2, variant="bordered")
+        # every panel is left-looking: the keyword is gone, its old default too
+        with pytest.raises(TypeError, match="variant"):
+            ltlt_unb_panel(random_skew(4, seed=0), 2, variant="ll")
+        # and its old third position cannot pass for pivot
+        with pytest.raises(TypeError, match="positional"):
+            ltlt_unb_panel(random_skew(4, seed=0), 2, "ll")
 
     @pytest.mark.parametrize("width", [-1, 0])
     @pytest.mark.parametrize("pivot", [False, True])
@@ -314,8 +337,8 @@ class TestPanel:
         # columns at or beyond the panel edge keep their original values
         m, b = 10, 4
         x = random_skew(m, seed=13)
-        for variant in ("rl", "twostep", "ll"):
-            r = ltlt_unb_panel(x, b, variant=variant)
+        for pivot in (False, True):
+            r = ltlt_unb_panel(x, b, pivot=pivot)
             assert not r.t.tau[b:].any()
             assert np.array_equal(r.l.dense()[:, b + 1:], np.eye(m)[:, b + 1:])
 
