@@ -35,9 +35,9 @@ _LOWER, _LEFT, _UNIT = 122, 141, 132
 
 
 @functools.cache
-def _symbol(name, argtypes):
+def _symbol(name, argtypes, restype=None):
     """Function ``name`` of numpy's OpenBLAS with the given ctypes
-    ``argtypes`` (returning nothing), or None.
+    ``argtypes`` and ``restype`` (default: returning nothing), or None.
 
     Opening numpy's extension module returns the handle the process already
     holds, and symbol lookup through it searches the libraries it links,
@@ -49,8 +49,15 @@ def _symbol(name, argtypes):
     except (ImportError, OSError, AttributeError):
         return None
     fn.argtypes = argtypes
-    fn.restype = None
+    fn.restype = restype
     return fn
+
+
+def num_threads():
+    """The thread count numpy's OpenBLAS runs with, or None where it has no
+    ``scipy_openblas_get_num_threads64_``."""
+    fn = _symbol("scipy_openblas_get_num_threads64_", (), ctypes.c_int)
+    return None if fn is None else fn()
 
 
 def _scalar(prefix):

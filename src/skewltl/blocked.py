@@ -43,8 +43,7 @@ class Features:
 
     * ``fused_l2``: the panel's and the split update's tridiagonal
       matrix-vector products apply T on the fly (vs. materializing T
-      first).  No driver reaches ``gen_rank2``, whose ``fused=False`` (two
-      rank-1 passes) stays a kernel option.
+      first).  No driver reaches ``gen_rank2``, which has no unfused form.
     * ``external_t``: single fused trailing updates that read L's stored
       unit entries; when off, Variant 1's split stripe + sandwich updates and
       a column-by-column panel.  tau is in an external vector either way.

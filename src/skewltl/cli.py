@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from . import kernels3
+from . import _blas, kernels3
 from .apps import pfaffian, solve
 from .blocked import (DEFAULT_BLOCK, LADDER, LADDER_VARIANT,
                       ltlt_blk_left, ltlt_blk_piv, ltlt_blk_twostep,
@@ -168,7 +168,8 @@ def _bench_one(variant, m, block, pivot, seed, reps, features=None):
 
 def _omp_outer_threads():
     """The outer level of OMP_NUM_THREADS (the first field of a per-level
-    list), the count OpenBLAS takes; 1 if unset or not a count."""
+    list), the count OpenBLAS takes at load; 1 if unset or not a count.
+    ``bench`` falls back on it where OpenBLAS cannot report its count."""
     field = os.environ.get("OMP_NUM_THREADS", "").split(",")[0].strip()
     return int(field) if field.isdecimal() else 1
 
@@ -434,9 +435,12 @@ def build_parser():
     bp.add_argument("--variant", default="blk-var2b",
                     help="variant name or comma-separated list")
     bp.add_argument("--pivot", action="store_true")
-    bp.add_argument("--threads", type=int, default=_omp_outer_threads(),
+    threads = _blas.num_threads()
+    bp.add_argument("--threads", type=int,
+                    default=_omp_outer_threads() if threads is None else threads,
                     help="value recorded in the CSV 'threads' column (default: the "
-                         f"outer level of OMP_NUM_THREADS, or 1); {blas_threads}")
+                         "thread count numpy's OpenBLAS runs with, else the outer "
+                         f"level of OMP_NUM_THREADS, or 1); {blas_threads}")
     bp.add_argument("--reps", type=int, default=3)
     bp.add_argument("--seed", type=int, default=0)
     bp.add_argument("--out", metavar="PATH", help="CSV file (default stdout)")

@@ -139,6 +139,17 @@ class SkewTridiagonal:
         return f"SkewTridiagonal(m={self.m})"
 
 
+def _pack_t(tau, x):
+    """T X in X's dtype for the skew tridiagonal T with subdiagonal tau (X: k rows or k-vector)."""
+    k = x.shape[0]
+    out = np.zeros(x.shape, dtype=x.dtype)
+    if k > 1:
+        tau = tau.reshape((k - 1,) + (1,) * (x.ndim - 1))
+        out[1:] = tau * x[:-1]
+        out[:-1] -= tau * x[1:]
+    return out
+
+
 class SSplitting:
     """Sparse S with T = S - S^T; the odd rows of S are identically zero."""
 
@@ -331,8 +342,6 @@ def reconstruct(l: UnitLowerFactor, t: SkewTridiagonal, p: PermutationVector | N
     """P^T (L T L^T) P as a lower-stored skew matrix (testing aid)."""
     if l.m != t.m or (p is not None and p.m != l.m):
         raise ValueError("dimension mismatch")
-    from .kernels3 import _pack_t  # kernels3 imports this module
-
     ld = l.dense()
     # T L^T by two shifted row products: one m^3 product, not two
     lt = ld.T.astype(np.result_type(ld, t.tau), copy=False)

@@ -1,9 +1,11 @@
 """Fused level-2 kernels and pivot-row application.
 
-Kernels update numpy views in place, touch each stored output entry exactly
-once per call, and are dtype-agnostic (exact scalars flow through).  The
-rank-2 updates run on the block-column sweep of ``kernels3`` with k = 1,
-and row pivots are one BLAS ``?laswp``.  The Python layer is
+Kernels update numpy views in place and are dtype-agnostic (exact scalars
+flow through).  As in ``kernels3``, beta is applied once and alpha times
+the product accumulated after it, so with beta = 1 each stored output entry
+is touched exactly once per call and with alpha = 0 no operand value
+reaches the output.  The rank-2 updates run on the block-column sweep of
+``kernels3`` with k = 1, and row pivots are one BLAS ``?laswp``.  The Python layer is
 single-threaded; any parallelism is the BLAS's own.  Callers must not
 alias a kernel's output with any of its inputs.
 """
@@ -13,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import _blas, instrument
-from .core import SkewTridiagonal, _swap_order, invert_permutation
-from .kernels3 import _pack_t, _skew_sweep, _sweep
+from .core import SkewTridiagonal, _pack_t, _swap_order, invert_permutation
+from .kernels3 import _scale, _skew_sweep, _sweep
 
 
 def get_workers():
@@ -26,43 +28,32 @@ def get_workers():
 def skew_rank2(a, alpha, x, y, beta=1):
     """A := beta*A + alpha*(x y^T - y x^T), strictly-lower triangle only.
 
-    ``a`` is an n x n lower-storage view; every stored entry is read and
-    written exactly once.
+    ``a`` is an n x n lower-storage view; nothing at or above its diagonal
+    is read or written.
     """
     n = a.shape[0]
     if a.shape[1] != n or len(x) != n or len(y) != n:
         raise ValueError("dimension mismatch")
     instrument.record_call("skew_rank2")
     instrument.add_flops("level2", 2 * n * max(n - 1, 0))
-    if n <= 1:
+    _scale(a, beta)
+    if n <= 1 or alpha == 0:
         return
-    if alpha == 0 and beta == 1:
-        return
-    _skew_sweep(a, alpha, x[:, None], y[:, None], beta)
+    _skew_sweep(a, alpha, x[:, None], y[:, None])
 
 
-def gen_rank2(a, alpha, x, u, y, v, beta=1, fused=True):
-    """A := beta*A + alpha*(x u^T + y v^T) on a p x q rectangle.
-
-    ``fused=False`` falls back to two sequential rank-1 passes over A (the
-    optimization-ladder baseline; more memory traffic, same result).
-    """
+def gen_rank2(a, alpha, x, u, y, v, beta=1):
+    """A := beta*A + alpha*(x u^T + y v^T) on a p x q rectangle."""
     p, q = a.shape
     if len(x) != p or len(y) != p or len(u) != q or len(v) != q:
         raise ValueError("dimension mismatch")
     instrument.record_call("gen_rank2")
     instrument.add_flops("level2", 4 * p * q)
-    if p == 0 or q == 0 or (alpha == 0 and beta == 1):
+    _scale(a, beta, tril=False)
+    if p == 0 or q == 0 or alpha == 0:
         return
-    if fused:
-        uv = np.stack((u, v))
-        _sweep(a, np.column_stack((x, y)), lambda jc, j1: uv[:, jc:j1], alpha, beta,
-               tril=False)
-    else:
-        if beta != 1:
-            a *= beta
-        a += alpha * np.outer(x, u)
-        a += alpha * np.outer(y, v)
+    uv = np.stack((u, v))
+    _sweep(a, np.column_stack((x, y)), lambda jc, j1: uv[:, jc:j1], alpha, tril=False)
 
 
 def skew_tridiag_gemv(y, alpha, a, t: SkewTridiagonal, x, beta=1, fused=True):
@@ -83,9 +74,8 @@ def skew_tridiag_gemv(y, alpha, a, t: SkewTridiagonal, x, beta=1, fused=True):
         raise TypeError(f"cannot write a {dt} product into a {y.dtype} y")
     instrument.record_call("skew_tridiag_gemv")
     instrument.add_flops("level2", 2 * p * k + 4 * k)
+    _scale(y, beta, tril=False)
     if alpha == 0:
-        if beta != 1:
-            y *= beta
         return
     if fused:
         z = _pack_t(t.tau, x.astype(np.result_type(t.tau, x), copy=False))
@@ -100,12 +90,10 @@ def skew_tridiag_gemv(y, alpha, a, t: SkewTridiagonal, x, beta=1, fused=True):
         acc = a @ z
     else:
         acc = a.dot(z)
-    if beta == 1 and alpha == -1:
+    if alpha == -1:
         y -= acc
-    elif beta == 1:
-        y += alpha * acc
     else:
-        y[:] = beta * y + alpha * acc
+        y += alpha * acc
 
 
 def apply_row_pivots(block, p, forward=True):

@@ -1,15 +1,20 @@
 """Level-3 "sandwiched" kernels as one block-column sweep.
 
-C is processed one ``NB``-wide block column at a time.  For each block
-column the k-side operand (T A^T, T B, or the stacked rank-2k factors) is
-packed, so the tridiagonal multiply rides along with that packing step and
-no workspace proportional to the full k x m product is ever formed.  The
-diagonal block merges through a mask, so entries at or above the diagonal
-are never written (and garbage stored there never propagates).  The strip
-below it is accumulated in place by one BLAS ``?gemm`` with beta = 1 and C's
-own leading dimension, as BLIS-style GEMM accumulates into C (Goto and van
-de Geijn, TOMS 2008); cache blocking and any threading are the BLAS's own,
-reached through ``_blas``.  Operands BLAS cannot take (exact scalars, mixed
+Every kernel applies beta once, to the entries it may write (``_scale``),
+and then accumulates alpha times its product.  With alpha = 0 no product
+is formed, so no operand value (NaN or infinity included) reaches C, as
+the Level 3 BLAS specify (Dongarra et al., TOMS 1990).
+
+The product is accumulated one ``NB``-wide block column of C at a time.
+For each block column the k-side operand (T A^T, T B, or the stacked
+rank-2k factors) is packed, so the tridiagonal multiply rides along with
+that packing step and no workspace proportional to the full k x m product
+is ever formed.  The diagonal block accumulates through a mask, so entries
+at or above the diagonal are never written (and garbage stored there never
+propagates).  The strip below it is accumulated in place by one BLAS
+``?gemm`` with C's own leading dimension, whatever beta was, as BLIS-style
+GEMM accumulates into C (Goto and van de Geijn, TOMS 2008); cache blocking
+and any threading are the BLAS's own, reached through ``_blas``.  Operands BLAS cannot take (exact scalars, mixed
 dtypes, rows of C that are not unit-strided) are updated in ``NB``-row
 chunks with plain matmuls.  The rank-2 kernels ``skew_rank2`` and
 ``gen_rank2`` of ``kernels2`` run on this sweep with k = 1.
@@ -22,7 +27,7 @@ import functools
 import numpy as np
 
 from . import _blas, instrument
-from .core import SkewTridiagonal
+from .core import SkewTridiagonal, _pack_t
 
 # Block-column width of the sweep, and the row-chunk height of its matmul
 # fallback (where a full-height temporary was about 35% slower).  With the
@@ -30,7 +35,7 @@ from .core import SkewTridiagonal
 # ld 4104, one BLAS thread, median of 5 alternated) widths 64, 128, 256, 512
 # and 1024 ran at 32, 35, 34, 31 and 26 GF/s in one machine phase, and 128
 # and 256 at 39 and 38 GF/s in another: the diagonal tile's temporary and
-# masked merge grow with the width, the number of BLAS calls shrinks.
+# masked add grow with the width, the number of BLAS calls shrinks.
 NB = 256
 
 # Inner block width of the blocked drivers' unpivoted left-looking panels:
@@ -58,44 +63,30 @@ def _tril_mask(shape, k):
     return mask
 
 
-def _merge_tile(tile, contrib, alpha, beta, where=True):
-    """tile := beta*tile + alpha*contrib where ``where`` holds.  The
-    diagonal tile passes the cached strict-lower mask (``_tril_mask``), so
-    entries at or above the diagonal are neither used nor touched.
-    """
-    if beta == 1:
-        np.add(tile, alpha * contrib, out=tile, where=where)
-    else:
-        np.copyto(tile, beta * tile + alpha * contrib, where=where)
-
-
 def _scale(c, beta, tril=True):
+    """C := beta*C, on the strictly-lower entries only with ``tril``; one
+    block column at a time, so no mask larger than an ``NB`` tile is made."""
     if beta == 1:
         return
     if not tril:
         c *= beta
         return
-    np.multiply(c, beta, out=c, where=np.tri(*c.shape, k=-1, dtype=bool))
+    p, q = c.shape
+    for jc in range(0, min(p, q), NB):
+        j1 = min(jc + NB, q)
+        top = min(j1, p)
+        tile = c[jc:top, jc:j1]
+        np.multiply(tile, beta, out=tile, where=_tril_mask(tile.shape, -1))
+        c[top:, jc:j1] *= beta
 
 
-def _pack_t(tau, x):
-    """T X in X's dtype for the skew tridiagonal T with subdiagonal tau (X: k rows or k-vector)."""
-    k = x.shape[0]
-    out = np.zeros(x.shape, dtype=x.dtype)
-    if k > 1:
-        tau = tau.reshape((k - 1,) + (1,) * (x.ndim - 1))
-        out[1:] = tau * x[:-1]
-        out[:-1] -= tau * x[1:]
-    return out
-
-
-def _sweep(c, left, pack, alpha, beta, tril=True):
-    """C := beta*C + alpha * left @ pack(jc, j1), one block column at a time.
+def _sweep(c, left, pack, alpha, tril=True):
+    """C += alpha * left @ pack(jc, j1), one block column at a time.
 
     ``pack(jc, j1)`` returns the k x (j1 - jc) operand of block column
     [jc, j1).  With ``tril`` only entries with row > col are written.  The
-    strip below the diagonal block is one in-place BLAS call when beta is 1
-    and the operands allow it, and ``NB``-row chunked matmuls otherwise.
+    strip below the diagonal block is one in-place BLAS call when the
+    operands allow it, and ``NB``-row chunked matmuls otherwise.
     """
     p, q = c.shape
     for jc in range(0, q, NB):
@@ -107,13 +98,13 @@ def _sweep(c, left, pack, alpha, beta, tril=True):
         if tril:
             top = min(j1, p)
             tile = c[jc:top, jc:j1]
-            _merge_tile(tile, left[jc:top].dot(panel), alpha, beta,
-                        where=_tril_mask(tile.shape, -1))
-        if beta == 1 and _blas.gemm_into(c[top:, jc:j1], left[top:], panel, alpha):
+            np.add(tile, alpha * left[jc:top].dot(panel), out=tile,
+                   where=_tril_mask(tile.shape, -1))
+        if _blas.gemm_into(c[top:, jc:j1], left[top:], panel, alpha):
             continue
         for ic in range(top, p, NB):
             i1 = min(ic + NB, p)
-            _merge_tile(c[ic:i1, jc:j1], left[ic:i1].dot(panel), alpha, beta)
+            c[ic:i1, jc:j1] += alpha * left[ic:i1].dot(panel)
 
 
 def skew_tridiag_rankk(c, alpha, a, t: SkewTridiagonal, beta=1, *, fused=True):
@@ -130,18 +121,16 @@ def skew_tridiag_rankk(c, alpha, a, t: SkewTridiagonal, beta=1, *, fused=True):
     _check_alias(c, a, "a")
     instrument.record_call("skew_tridiag_rankk")
     instrument.add_flops("level3", 2 * k * _lower_entries(n) + 4 * k * n)
-    if n <= 1:
-        return
-    if alpha == 0 or k == 0:
-        _scale(c, beta)
+    _scale(c, beta)
+    if n <= 1 or alpha == 0 or k == 0:
         return
     tau = t.tau
     if not fused:
         instrument.add_flops("level3", 2 * k * _lower_entries(n))  # upper half computed and discarded
         full = a.dot(_pack_t(tau, a.T))
-        _merge_tile(c, full, alpha, beta, where=np.tri(n, k=-1, dtype=bool))
+        np.add(c, alpha * full, out=c, where=np.tri(n, k=-1, dtype=bool))
         return
-    _sweep(c, a, lambda jc, j1: _pack_t(tau, a[jc:j1].T), alpha, beta)
+    _sweep(c, a, lambda jc, j1: _pack_t(tau, a[jc:j1].T), alpha)
 
 
 def skew_tridiag_gemm(c, alpha, a, t: SkewTridiagonal, b, beta=1, *, tril=False,
@@ -163,10 +152,8 @@ def skew_tridiag_gemm(c, alpha, a, t: SkewTridiagonal, b, beta=1, *, tril=False,
     instrument.record_call("skew_tridiag_gemm")
     written = _lower_entries(min(p, q)) + max(p - q, 0) * q if tril else p * q
     instrument.add_flops("level3", 2 * k * written + 4 * k * q)
-    if p == 0 or q == 0:
-        return
-    if alpha == 0 or k == 0:
-        _scale(c, beta, tril)
+    _scale(c, beta, tril)
+    if p == 0 or q == 0 or alpha == 0 or k == 0:
         return
     if fused:
         tau = t.tau
@@ -179,7 +166,7 @@ def skew_tridiag_gemm(c, alpha, a, t: SkewTridiagonal, b, beta=1, *, tril=False,
 
         def pack(jc, j1):
             return tb_full[:, jc:j1]
-    _sweep(c, a, pack, alpha, beta, tril)
+    _sweep(c, a, pack, alpha, tril)
 
 
 def skew_rank2k(c, alpha, a, b, beta=1):
@@ -200,20 +187,18 @@ def skew_rank2k(c, alpha, a, b, beta=1):
     keep = np.flatnonzero((a != 0).any(axis=0) & (b != 0).any(axis=0))
     keff = len(keep)
     instrument.add_flops("level3", 4 * keff * _lower_entries(n))
-    if n <= 1:
+    _scale(c, beta)
+    if n <= 1 or alpha == 0 or keff == 0:
         return
-    if alpha == 0 or keff == 0:
-        _scale(c, beta)
-        return
-    _skew_sweep(c, alpha, a[:, keep], b[:, keep], beta)
+    _skew_sweep(c, alpha, a[:, keep], b[:, keep])
 
 
-def _skew_sweep(c, alpha, a, b, beta):
-    """C := beta*C + alpha*(A B^T - B A^T) on the strictly-lower triangle of
-    C, one product [A B] [B -A]^T per block column."""
+def _skew_sweep(c, alpha, a, b):
+    """C += alpha*(A B^T - B A^T) on the strictly-lower triangle of C, one
+    product [A B] [B -A]^T per block column."""
     left = np.concatenate((a, b), axis=1)
     _sweep(c, left, lambda jc, j1: np.concatenate((b[jc:j1], -a[jc:j1]), axis=1).T,
-           alpha, beta)
+           alpha)
 
 
 def form_w(a, s):

@@ -35,7 +35,8 @@ def _write_coordinate(path, qualifier, m, segments, transpose=False):
     ``segments`` is a sequence of (i, j, values): ``values`` runs down
     column j from row i (0-based).  With ``transpose`` each entry is written
     at the mirrored coordinate (j, i).  Every segment is formatted with one
-    join, so per-entry Python objects live only as long as their segment.
+    ``%`` operation on its interleaved (row, value) fields, so per-entry
+    Python objects live only as long as their segment.
     The files are ``real``, so complex values raise a ValueError before
     anything is written.
     """
@@ -48,12 +49,11 @@ def _write_coordinate(path, qualifier, m, segments, transpose=False):
         fh.write(f"%%MatrixMarket matrix coordinate real {qualifier}\n{m} {m} {nnz}\n")
         for i, j, values in segments:
             nz = np.flatnonzero(values)
-            rows = (nz + (i + 1)).tolist()
-            vals = values[nz].astype(float, copy=False).tolist()
-            if transpose:
-                fh.write("".join(f"{j + 1} {r} {v!r}\n" for r, v in zip(rows, vals)))
-            else:
-                fh.write("".join(f"{r} {j + 1} {v!r}\n" for r, v in zip(rows, vals)))
+            fields = [None] * (2 * nz.size)
+            fields[0::2] = (nz + (i + 1)).tolist()
+            fields[1::2] = values[nz].astype(float, copy=False).tolist()
+            line = f"{j + 1} %d %r\n" if transpose else f"%d {j + 1} %r\n"
+            fh.write((line * nz.size) % tuple(fields))
 
 
 def mm_write(path, x: SkewMatrixLower):

@@ -13,7 +13,7 @@ from skewltl import (InvalidVariant, PivotUnsupported, SkewMatrixLower, ltlt_blk
                      ltlt_blk_piv, ltlt_blk_twostep, ltlt_blk_var1, ltlt_blk_var2a,
                      ltlt_blk_var2b, ltlt_unb_ll, ltlt_unb_rl, ltlt_unb_twostep, mm_write,
                      random_skew)
-from skewltl import cli
+from skewltl import _blas, cli
 from skewltl.cli import VARIANT_NAMES, main, run_variant
 
 from helpers import worked_example
@@ -294,18 +294,38 @@ def test_factor_threads_flag(capsys):
     assert code == 0
 
 
+def bench_threads_column(capsys):
+    code, out, _ = run(capsys, "bench", "--size", "16", "--block", "8", "--reps", "1")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO("\n".join(out.strip().splitlines()[1:]))))
+    return [r["threads"] for r in rows]
+
+
 def test_omp_per_level_list(capsys, monkeypatch):
     # a valid OpenMP per-level list: factor and verify ignore it, and bench
-    # records the outer level
+    # records the count OpenBLAS runs with, which the process fixed at load
     monkeypatch.setenv("OMP_NUM_THREADS", "4,2")
     code, _, _ = run(capsys, "factor", "--size", "10")
     assert code == 0
     code, _, _ = run(capsys, "verify", "--max-size", "8")
     assert code == 0
-    code, out, _ = run(capsys, "bench", "--size", "16", "--block", "8", "--reps", "1")
-    assert code == 0
-    rows = list(csv.DictReader(io.StringIO("\n".join(out.strip().splitlines()[1:]))))
-    assert [r["threads"] for r in rows] == ["4"]
+    assert bench_threads_column(capsys) == [str(_blas.num_threads())]
+
+
+@pytest.mark.parametrize("fields", ["{}", "{},1"])
+def test_bench_threads_column_is_blas_count(capsys, monkeypatch, fields):
+    # an OMP_NUM_THREADS that differs from the count OpenBLAS runs with
+    n = _blas.num_threads()
+    assert n is not None and n >= 1
+    monkeypatch.setenv("OMP_NUM_THREADS", fields.format(n + 1))
+    assert bench_threads_column(capsys) == [str(n)]
+
+
+def test_bench_threads_fallback(capsys, monkeypatch):
+    # where OpenBLAS cannot report its count, the outer level is recorded
+    monkeypatch.setattr(_blas, "num_threads", lambda: None)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3,1")
+    assert bench_threads_column(capsys) == ["3"]
 
 
 @pytest.mark.parametrize("value,threads", [("3", 3), ("2,1", 2), ("", 1), ("x", 1),

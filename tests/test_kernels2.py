@@ -27,13 +27,23 @@ class TestSkewRank2:
         skew_rank2(a, 0.0, np.ones(5), np.ones(5), 1.0)
         assert np.array_equal(a, before)
 
+    def test_alpha_zero_reads_no_operand(self):
+        # alpha = 0 only scales: the infinite x never meets the zero alpha
+        n = NB + 9
+        a = np.asfortranarray(RNG.standard_normal((n, n)))
+        want = 0.5 * lower_of(a)
+        x = np.full(n, np.inf)
+        skew_rank2(a, 0.0, x, RNG.standard_normal(n), 0.5)
+        assert np.array_equal(lower_of(a), want)
+
     def test_two_by_two(self):
         a = np.zeros((2, 2), order="F")
         skew_rank2(a, 1.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1.0)
         assert a[1, 0] == -1.0
 
-    # n = 2 NB + 37 spans three block columns of the sweep; with beta != 1
-    # the strips take the chunked path (beta = 1 and BLAS: test_sentinels)
+    # n = 2 NB + 37 spans three block columns of the sweep; beta is applied
+    # first, then the strips accumulate through BLAS (buffer views:
+    # test_sentinels)
     @pytest.mark.parametrize("n, dtype", [
         *(pytest.param(n, np.float64, id=str(n)) for n in (2, 3, 16, 64, 2 * NB + 37)),
         *(pytest.param(n, dt, id=f"{n}-{np.dtype(dt).name}")
@@ -99,19 +109,20 @@ class TestGenRank2:
         gen_rank2(a, 0.5, np.array([3.0]), np.array([4.0]), np.array([5.0]), np.array([6.0]), 1.0)
         assert a[0, 0] == 2.0 + 0.5 * (12.0 + 30.0)
 
-    # (2 NB + 37) x (NB + 5) spans two block columns; in F order at
-    # beta = 1 the fused update takes the in-place BLAS path
-    @pytest.mark.parametrize("fused, p, q, beta, order", [
-        *(pytest.param(fused, 8, 4, 0.25, "C", id=str(fused)) for fused in (True, False)),
-        *(pytest.param(fused, 2 * NB + 37, NB + 5, beta, "F", id=f"{fused}-{2 * NB + 37}-{beta}")
-          for fused in (True, False) for beta in (0.25, 1.0))])
-    def test_against_dense(self, fused, p, q, beta, order):
+    # (2 NB + 37) x (NB + 5) spans two block columns; in F order the update
+    # takes the in-place BLAS path.  The ids keep the "True" of the removed
+    # fused=True/False parameter.
+    @pytest.mark.parametrize("p, q, beta, order", [
+        pytest.param(8, 4, 0.25, "C", id="True"),
+        *(pytest.param(2 * NB + 37, NB + 5, beta, "F", id=f"True-{2 * NB + 37}-{beta}")
+          for beta in (0.25, 1.0))])
+    def test_against_dense(self, p, q, beta, order):
         a = np.asarray(RNG.standard_normal((p, q)), order=order)
         x, y = RNG.standard_normal(p), RNG.standard_normal(p)
         u, v = RNG.standard_normal(q), RNG.standard_normal(q)
         want = beta * a + 2.0 * (np.outer(x, u) + np.outer(y, v))
         got = a.copy(order="K")
-        gen_rank2(got, 2.0, x, u, y, v, beta, fused=fused)
+        gen_rank2(got, 2.0, x, u, y, v, beta)
         assert np.allclose(got, want)
 
 

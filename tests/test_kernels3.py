@@ -47,7 +47,7 @@ class TestRankK:
     @pytest.mark.parametrize("m,k", [(40, 7), (2 * NB + 37, 9)])
     @pytest.mark.parametrize("beta", [0.5, 0.0])
     def test_against_dense_beta(self, m, k, beta):
-        # beta != 1 merges the strip below the diagonal tile in row chunks
+        # beta scales the strictly-lower part first; NaN above stays NaN
         a = RNG.standard_normal((m, k))
         t = SkewTridiagonal(RNG.standard_normal(k - 1))
         c = np.asfortranarray(RNG.standard_normal((m, m)))
@@ -193,6 +193,38 @@ class TestRank2K:
         assert fc.level3 == 4 * 3 * (m * (m - 1) // 2)
 
 
+@pytest.mark.parametrize("kernel", ["rankk", "gemm-tril", "rank2k"])
+@pytest.mark.parametrize("beta", [0.5, 0.0])
+def test_beta_strips_take_blas(monkeypatch, kernel, beta):
+    # beta is applied once up front, so the strip below each diagonal tile
+    # accumulates through the in-place ?gemm whatever beta is
+    calls = []
+
+    def counted(*args):
+        calls.append(gemm_into(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(_blas, "gemm_into", counted)
+    m, k = 2 * NB + 37, 7
+    a, b = RNG.standard_normal((m, k)), RNG.standard_normal((m, k))
+    t = SkewTridiagonal(RNG.standard_normal(k - 1))
+    c0 = np.asfortranarray(RNG.standard_normal((m, m)))
+    c = c0.copy(order="F")
+    if kernel == "rankk":
+        skew_tridiag_rankk(c, -1.0, a, t, beta)
+        prod = -sandwich_matmul(a, t.dense(), a.T)
+    elif kernel == "gemm-tril":
+        skew_tridiag_gemm(c, -1.0, a, t, b.T, beta, tril=True)
+        prod = -sandwich_matmul(a, t.dense(), b.T)
+    else:
+        skew_rank2k(c, 0.5, a, b, beta)
+        prod = 0.5 * (a.dot(b.T) - b.dot(a.T))
+    assert calls == [True] * -(-m // NB)
+    below = np.tri(m, k=-1, dtype=bool)
+    assert np.allclose(c[below], (beta * c0 + prod)[below], rtol=1e-12, atol=1e-12)
+    assert np.array_equal(c[~below], c0[~below])
+
+
 BLAS_DTYPES = [np.float32, np.float64, np.complex64, np.complex128]
 
 
@@ -290,7 +322,8 @@ class TestInPlaceGemm:
         assert np.array_equal(c[il, jl], want[il, jl])
 
     def test_object_dtype_beta_exact(self):
-        # beta = 1/2 merges the diagonal tile and the strip below it in Fractions
+        # beta = 1/2 scales, then the diagonal tile and the strip below it
+        # accumulate, all in Fractions
         m, k = NB + 9, 4
         rng = np.random.default_rng(9)
         a = np.array([[Fraction(int(v), 3) for v in row]
