@@ -36,10 +36,10 @@ DEFAULT_BLOCK = 256
 PIVOTED_FUSED = ("var1", "var2a", "var2b")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Features:
     """Runtime feature toggles mirroring the optimization ladder, so the
-    step-by-step comparison needs no rebuilds.
+    step-by-step comparison needs no rebuilds (frozen: ``LADDER`` shares them).
 
     * ``fused_l2``: the panel's and the split update's tridiagonal
       matrix-vector products apply T on the fly (vs. materializing T
@@ -77,36 +77,36 @@ def _require_external_t(f, who):
                              "Features(external_t=True)")
 
 
-def _run_panel(work, tau, base, nelim, f, carry, pivots=None):
-    """Left-looking panel of [base, base + nelim); ``carry`` folds in the
-    delayed transform of the previous block; the inner blocks are
-    ``PANEL_NB`` wide, or 1 without ``f.external_t``.  With ``pivots`` the
-    panel pivots column by column, and its row swaps then reach the older L
-    columns in one blocked pass."""
+def _run_panel(work, tau, lo, base, nelim, f, pivots=None):
+    """Left-looking panel of [base, base + nelim) whose couplings start at
+    column ``lo``; the inner blocks are ``PANEL_NB`` wide, or 1 without
+    ``f.external_t``.  With ``pivots`` the panel pivots column by column,
+    and its row swaps then reach the older L columns [0, lo) in one blocked
+    pass."""
     with instrument.scope("panel"):
-        _panel_ll(work, tau, base, nelim, carry=carry, pivots=pivots,
+        _panel_ll(work, tau, lo, base, nelim, pivots=pivots,
                   fused_l2=f.fused_l2, fused_l3=f.fused_l3,
                   width=PANEL_NB if f.external_t else 1)
-    lo = base - 1 if carry else base
     if pivots is not None and lo > 0:
         sub = pivots[base + 1: base + nelim + 1]
         if np.any(sub):
             apply_row_pivots(work[base + 1:, :lo], sub, forward=True)
 
 
-def _apply_couplings(work, tau, c0, c1, region, f, rank2k=False):
-    """Sandwiched trailing update: C := C - A T~ A^T on rows/cols
-    [region:), where A = L columns c0..c1 and T~ = tridiag(tau[c0:c1]).
+def _apply_couplings(work, tau, lo, hi, f, rank2k):
+    """Sandwiched trailing update C := C - A T~ A^T on ``work[hi:, hi:]``
+    with the couplings of columns [lo, hi): A = ``work[hi:, lo:hi]`` and
+    T~ = tridiag(``tau[lo + 1:hi]``), as in every coupling product.
 
     With ``rank2k=True`` the update runs as W = A S followed by a skew
     rank-2k whose zero columns are skipped.
     """
     m = work.shape[0]
-    if m - region < 2 or c1 - c0 < 1:
+    if m - hi < 2 or hi - lo < 2:
         return
-    a = work[region:, c0 - 1:c1]
-    tt = SkewTridiagonal(tau[c0:c1])
-    cview = work[region:, region:]
+    a = work[hi:, lo:hi]
+    tt = SkewTridiagonal(tau[lo + 1:hi])
+    cview = work[hi:, hi:]
     if rank2k:
         w = form_w(a, form_s_splitting(tt))
         skew_rank2k(cview, 1, a, w, 1)
@@ -114,7 +114,7 @@ def _apply_couplings(work, tau, c0, c1, region, f, rank2k=False):
         skew_tridiag_rankk(cview, -1, a, tt, 1, fused=f.fused_l3)
 
 
-def _straggler(work, tau, rt):
+def _straggler(work, rt):
     """Trailing rank-2 of the panel's last transform (Variant 1 only)."""
     m = work.shape[0]
     if m - rt < 2:
@@ -194,22 +194,23 @@ def _right_looking(x, b, scheme, features, pivot):
     with counting(fc):
         r = 0
         while r < m - 1:
-            carry = s.carry and r > 0
+            # a carried panel starts at the previous block's delayed transform
+            lo = r - 1 if s.carry and r > 0 else r
             be = min(b + 1 if s.extra_first and r == 0 else b, m - 1 - r)
             if s.left and r >= 2:
                 skew_tridiag_gemm(work[r:, r:r + be], -1, work[r:, 0:r],
                                   SkewTridiagonal(tau[1:r]), work[r:r + be, 0:r].T,
                                   1, tril=True, fused=f.fused_l3)
-            _run_panel(work, tau, r, be, f, carry, pivots)
+            _run_panel(work, tau, lo, r, be, f, pivots)
             rt = r + be
             if not f.external_t:
                 _split_trailing(work, tau, r, rt, f)
             elif not s.left:
-                _apply_couplings(work, tau, r if carry else r + 1, rt, rt, f, s.rank2k)
+                _apply_couplings(work, tau, lo, rt, f, s.rank2k)
             if s.straggler:
-                _straggler(work, tau, rt)
+                _straggler(work, rt)
             r = rt
-    return _finalize(work, tau, pivots, m, fc)
+    return _finalize(work, tau, pivots, fc)
 
 
 def ltlt_blk_var1(x: SkewMatrixLower, b=DEFAULT_BLOCK,

@@ -129,12 +129,7 @@ def cmd_factor(args):
         return _fail(f"out of memory: {exc}")
     if x.m < 1:
         return _fail(f"the matrix is {x.m}x{x.m}; factor needs m >= 1")
-    try:
-        result = run_variant(args.variant, x, block=args.block, pivot=args.pivot)
-    except ZeroPivot as exc:
-        return _fail(f"breakdown, zero pivot in column {exc.column}; rerun with --pivot")
-    except (PivotUnsupported, InvalidVariant) as exc:
-        return _fail(exc)
+    result = run_variant(args.variant, x, block=args.block, pivot=args.pivot)
     res = residual_norm(x, result)
     if not math.isfinite(res):
         return _fail(f"non-finite residual ({res}); the factorization overflowed")
@@ -454,7 +449,12 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.seed < 0:
         return _fail(f"--seed must be >= 0, got {args.seed}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ZeroPivot as exc:
+        return _fail(f"breakdown, zero pivot in column {exc.column}; rerun with --pivot")
+    except (PivotUnsupported, InvalidVariant) as exc:  # a refused driver call
+        return _fail(exc)
 
 
 def console():

@@ -27,7 +27,8 @@ class PivotUnsupported(ValueError):
 
 
 class InvalidVariant(ValueError):
-    """Panel variant incompatible with the requested options."""
+    """An unknown pivoted scheme or CLI variant name, or
+    ``Features(external_t=False)`` on a schedule with no split update."""
 
 
 class SingularT(ArithmeticError):

@@ -3,11 +3,12 @@
 Kernels update numpy views in place and are dtype-agnostic (exact scalars
 flow through).  As in ``kernels3``, beta is applied once and alpha times
 the product accumulated after it, so with beta = 1 each stored output entry
-is touched exactly once per call and with alpha = 0 no operand value
-reaches the output.  The rank-2 updates run on the block-column sweep of
-``kernels3`` with k = 1, and row pivots are one BLAS ``?laswp``.  The Python layer is
-single-threaded; any parallelism is the BLAS's own.  Callers must not
-alias a kernel's output with any of its inputs.
+is touched exactly once per call, with beta = 0 no value already in the
+output is read, and with alpha = 0 no operand value reaches the output.
+The rank-2 updates run on the block-column sweep of ``kernels3`` with
+k = 1, and row pivots are one BLAS ``?laswp``.  The Python layer is
+single-threaded; any parallelism is the BLAS's own.  Callers must not alias
+a kernel's output with any of its inputs.
 """
 
 from __future__ import annotations
@@ -78,18 +79,12 @@ def skew_tridiag_gemv(y, alpha, a, t: SkewTridiagonal, x, beta=1, fused=True):
     if alpha == 0:
         return
     if fused:
-        z = _pack_t(t.tau, x.astype(np.result_type(t.tau, x), copy=False))
-    else:
-        z = t.dense().dot(np.asarray(x))
-        instrument.add_flops("level2", 2 * k * k)
-    if p == 0:
-        return
-    if fused:
         # matmul hands a strided view to gemv with its leading dimension;
         # .dot would first copy it (the unfused baseline keeps .dot)
-        acc = a @ z
+        acc = a @ _pack_t(t.tau, x.astype(np.result_type(t.tau, x), copy=False))
     else:
-        acc = a.dot(z)
+        acc = a.dot(t.dense().dot(np.asarray(x)))
+        instrument.add_flops("level2", 2 * k * k)
     if alpha == -1:
         y -= acc
     else:

@@ -1,7 +1,8 @@
 """Level-3 "sandwiched" kernels as one block-column sweep.
 
-Every kernel applies beta once, to the entries it may write (``_scale``),
-and then accumulates alpha times its product.  With alpha = 0 no product
+Every kernel applies beta once, to the entries it may write (``_scale``;
+with beta = 0 it writes zeros there without reading C), and then
+accumulates alpha times its product.  With alpha = 0 no product
 is formed, so no operand value (NaN or infinity included) reaches C, as
 the Level 3 BLAS specify (Dongarra et al., TOMS 1990).
 
@@ -65,19 +66,28 @@ def _tril_mask(shape, k):
 
 def _scale(c, beta, tril=True):
     """C := beta*C, on the strictly-lower entries only with ``tril``; one
-    block column at a time, so no mask larger than an ``NB`` tile is made."""
+    block column at a time, so no mask larger than an ``NB`` tile is made.
+    With beta = 0 those entries are set to zero without being read, so a NaN
+    or infinity already in C does not survive."""
     if beta == 1:
         return
     if not tril:
-        c *= beta
+        _scale_view(c, beta)
         return
     p, q = c.shape
     for jc in range(0, min(p, q), NB):
         j1 = min(jc + NB, q)
         top = min(j1, p)
         tile = c[jc:top, jc:j1]
-        np.multiply(tile, beta, out=tile, where=_tril_mask(tile.shape, -1))
-        c[top:, jc:j1] *= beta
+        _scale_view(tile, beta, _tril_mask(tile.shape, -1))
+        _scale_view(c[top:, jc:j1], beta)
+
+
+def _scale_view(v, beta, where=True):
+    if beta == 0:  # beta is a zero of its own type, cast as a product would be
+        np.copyto(v, beta, where=where)
+    else:
+        np.multiply(v, beta, out=v, where=where)
 
 
 def _sweep(c, left, pack, alpha, tril=True):
@@ -155,18 +165,12 @@ def skew_tridiag_gemm(c, alpha, a, t: SkewTridiagonal, b, beta=1, *, tril=False,
     _scale(c, beta, tril)
     if p == 0 or q == 0 or alpha == 0 or k == 0:
         return
-    if fused:
-        tau = t.tau
-
-        def pack(jc, j1):
-            return _pack_t(tau, b[:, jc:j1])
-    else:
-        tb_full = t.dense().dot(np.asarray(b))
+    if not fused:
+        tb = t.dense().dot(np.asarray(b))
         instrument.add_flops("level3", 2 * k * k * q)
-
-        def pack(jc, j1):
-            return tb_full[:, jc:j1]
-    _sweep(c, a, pack, alpha, tril)
+        _sweep(c, a, lambda jc, j1: tb[:, jc:j1], alpha, tril)
+        return
+    _sweep(c, a, lambda jc, j1: _pack_t(t.tau, b[:, jc:j1]), alpha, tril)
 
 
 def skew_rank2k(c, alpha, a, b, beta=1):

@@ -129,13 +129,10 @@ def _workbuf(x: SkewMatrixLower):
     return work, np.zeros(m - 1, dtype=work.dtype)
 
 
-def _finalize(work, tau, pivots, m, fc, first_column=None):
-    if pivots is None:
-        p = PermutationVector(np.zeros(0, dtype=np.int64), m)
-    else:
-        p = PermutationVector(pivots, m)
-    return FactorizationResult(
-        UnitLowerFactor(work, first_column), SkewTridiagonal(tau), p, fc)
+def _finalize(work, tau, pivots, fc, first_column=None):
+    p = np.zeros(0, dtype=np.int64) if pivots is None else pivots
+    return FactorizationResult(UnitLowerFactor(work, first_column), SkewTridiagonal(tau),
+                               PermutationVector(p, work.shape[0]), fc)
 
 
 def _eliminate(work, tau, g, pivots, swap_from):
@@ -167,7 +164,7 @@ def _eliminate(work, tau, g, pivots, swap_from):
     work[g + 1, g] = 1
 
 
-def _panel_ll(work, tau, base, nelim, *, carry=False, pivots=None, fused_l2=True,
+def _panel_ll(work, tau, lo, base, nelim, *, pivots=None, fused_l2=True,
               fused_l3=True, width=1):
     """Left-looking eliminations of columns [base, base + nelim): the one
     panel core, of the unblocked left-looking and panel drivers and of every
@@ -176,11 +173,11 @@ def _panel_ll(work, tau, base, nelim, *, carry=False, pivots=None, fused_l2=True
     panel's updates, and this core applies them to each column just before
     eliminating it.
 
-    The leftmost column in the column updates is lo == base for a fresh
-    panel, lo == base - 1 with ``carry``, when the delayed transform of the
-    previous block still has to be folded in.  Each column is updated
-    against the L columns and tau values to its left, then pivoted (with
-    ``pivots``), then eliminated; swaps reach columns >= lo.
+    ``lo`` is the leftmost column in the column updates, decided by the
+    caller: ``base`` for a fresh panel, ``base - 1`` when the delayed
+    transform of the previous block still has to be folded in.  Each column
+    is updated against the L columns and tau values to its left, then
+    pivoted (with ``pivots``), then eliminated; swaps reach columns >= lo.
 
     The columns are taken in inner blocks of ``width``.  Before a block
     [g0, g1) is eliminated, the couplings of columns [lo, g0) reach all of
@@ -194,7 +191,6 @@ def _panel_ll(work, tau, base, nelim, *, carry=False, pivots=None, fused_l2=True
     """
     if pivots is not None:
         width = 1
-    lo = base - 1 if carry else base
     end = base + nelim
     for g0 in range(base, end, width):
         g1 = min(g0 + width, end)
@@ -277,14 +273,14 @@ def _unblocked(x, core, pivot, width=None, first_column=None):
             skew_rank2(work[1:, 1:], 1, fcvec, work[1:, 0], 1)
         with instrument.scope("trailing" if width is None else "panel"):
             if core is _panel_ll:
-                _panel_ll(work, tau, 0, nelim, pivots=pivots)
+                _panel_ll(work, tau, 0, 0, nelim, pivots=pivots)
             else:
                 core(work, tau, pivots)
     if width is not None:
         for j in range(nelim, m):  # strictly lower only: the rest is still zero
             work[j + 1:, j] = 0
         pivots = pivots[:nelim + 1] if pivots is not None else None
-    return _finalize(work, tau, pivots, m, fc, first_column=fcvec)
+    return _finalize(work, tau, pivots, fc, first_column=fcvec)
 
 
 def ltlt_unb_rl(x: SkewMatrixLower, pivot=False) -> FactorizationResult:

@@ -1,6 +1,7 @@
 """Blocked drivers: block-size agreement, fused variants, pivoting, traces,
 feature toggles, other dtypes, concurrent flop counting."""
 
+import dataclasses
 import errno
 import mmap
 import os
@@ -509,6 +510,13 @@ class TestFeatures:
         want = f"^{who} has no split trailing update: it needs Features\\(external_t=True\\)$"
         with pytest.raises(InvalidVariant, match=want):
             run(random_skew(8, seed=0), Features(external_t=False))
+
+    def test_frozen(self):
+        # LADDER's instances are shared by every run, bench --opt-ladder included
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            LADDER["step4"].fused_l3 = False
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Features().external_t = False
 
     def test_pivoted_split_mode(self):
         m = 32

@@ -197,6 +197,17 @@ class TestBench:
         assert code == 1
         assert "unknown variant" in err
 
+    @pytest.mark.parametrize("variant,message", [("blk-left", "cannot exist"),
+                                                 ("blk-2step", "no pivoted path")])
+    def test_refused_pivot_reported(self, capsys, variant, message):
+        # main reports the driver's own refusal for every command, as for factor
+        code, out, err = run(capsys, "bench", "--size", "16", "--block", "4", "--reps", "1",
+                             "--variant", variant, "--pivot")
+        assert code == 1
+        assert err.startswith("error:") and message in err
+        assert out.strip().splitlines() == [
+            "# seed=0", "variant,m,block,threads,pivot,seconds,gflops,flops_l2,flops_l3"]
+
     def test_invalid_sweep(self, capsys):
         code, _, err = run(capsys, "bench", "--sizes", "1")
         assert code == 1

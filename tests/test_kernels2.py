@@ -194,6 +194,32 @@ class TestSkewTridiagGemv:
         assert np.allclose(y, want, rtol=1e-13, atol=1e-13)
 
 
+@pytest.mark.parametrize("kernel", ["skew_rank2", "gen_rank2", "gemv", "gemv-unfused"])
+def test_beta_zero_reads_no_output(kernel):
+    # beta = 0 writes zeros without reading C (Level 3 BLAS), so a NaN and an
+    # infinity planted in C, in the diagonal tile and in the strip below it,
+    # leave the same result as a zeroed C
+    n = NB + 9
+    x, y, u, v = (RNG.standard_normal(n) for _ in range(4))
+    a, t = RNG.standard_normal((n, 5)), SkewTridiagonal(RNG.standard_normal(4))
+    calls = {
+        "skew_rank2": lambda c: skew_rank2(c, 0.5, x, y, 0.0),
+        "gen_rank2": lambda c: gen_rank2(c, 0.5, x, u, y, v, 0.0),
+        "gemv": lambda c: skew_tridiag_gemv(c[:, 0], 1.5, a, t, x[:5], 0.0),
+        "gemv-unfused": lambda c: skew_tridiag_gemv(c[:, 0], 1.5, a, t, x[:5], 0.0,
+                                                    fused=False),
+    }
+    planted, zeroed = np.zeros((n, n), order="F"), np.zeros((n, n), order="F")
+    planted[2, 0], planted[n - 1, 0] = np.nan, np.inf
+    if kernel != "skew_rank2":  # these write the first row too
+        planted[0, 0] = np.nan
+    if kernel == "gen_rank2":
+        planted[0, n - 1] = -np.inf
+    calls[kernel](planted)
+    calls[kernel](zeroed)
+    assert np.array_equal(planted, zeroed)
+
+
 class TestApplyRowPivots:
     def test_all_zero_offsets(self):
         b = RNG.standard_normal((5, 2))

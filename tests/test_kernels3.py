@@ -225,6 +225,32 @@ def test_beta_strips_take_blas(monkeypatch, kernel, beta):
     assert np.array_equal(c[~below], c0[~below])
 
 
+@pytest.mark.parametrize("kernel", ["rankk", "rankk-unfused", "gemm", "gemm-unfused",
+                                    "gemm-tril", "rank2k"])
+def test_beta_zero_reads_no_output(kernel):
+    # beta = 0 writes zeros without reading C (Level 3 BLAS), so a NaN and an
+    # infinity planted in C, in the diagonal tile and in the strip below it,
+    # leave the same result as a zeroed C
+    m, k = NB + 9, 5
+    a, b = RNG.standard_normal((m, k)), RNG.standard_normal((m, k))
+    t = SkewTridiagonal(RNG.standard_normal(k - 1))
+    calls = {
+        "rankk": lambda c: skew_tridiag_rankk(c, -1.0, a, t, 0.0),
+        "rankk-unfused": lambda c: skew_tridiag_rankk(c, -1.0, a, t, 0.0, fused=False),
+        "gemm": lambda c: skew_tridiag_gemm(c, -1.0, a, t, b.T, 0.0),
+        "gemm-unfused": lambda c: skew_tridiag_gemm(c, -1.0, a, t, b.T, 0.0, fused=False),
+        "gemm-tril": lambda c: skew_tridiag_gemm(c, -1.0, a, t, b.T, 0.0, tril=True),
+        "rank2k": lambda c: skew_rank2k(c, 0.5, a, b, 0.0),
+    }
+    planted, zeroed = np.zeros((m, m), order="F"), np.zeros((m, m), order="F")
+    planted[2, 0], planted[m - 1, 1] = np.nan, np.inf
+    if kernel in ("gemm", "gemm-unfused"):  # these write all of C
+        planted[0, m - 1], planted[3, 3] = -np.inf, np.nan
+    calls[kernel](planted)
+    calls[kernel](zeroed)
+    assert np.array_equal(planted, zeroed)
+
+
 BLAS_DTYPES = [np.float32, np.float64, np.complex64, np.complex128]
 
 
