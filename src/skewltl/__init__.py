@@ -6,9 +6,9 @@ Matrix Market I/O, and flop/performance instrumentation.
 """
 
 from .apps import pfaffian, solve
-from .blocked import (DEFAULT_BLOCK, LADDER, Features, ltlt_blk_left,
-                      ltlt_blk_piv, ltlt_blk_twostep, ltlt_blk_var1,
-                      ltlt_blk_var2a, ltlt_blk_var2b)
+from .blocked import (DEFAULT_BLOCK, DEFAULT_PIVOT_BLOCK, LADDER, Features,
+                      ltlt_blk_left, ltlt_blk_piv, ltlt_blk_twostep,
+                      ltlt_blk_var1, ltlt_blk_var2a, ltlt_blk_var2b)
 from .core import (InvalidVariant, PermutationVector, PivotUnsupported,
                    SingularT, SkewMatrixLower, SkewTridiagonal, SSplitting,
                    UnitLowerFactor, ZeroPivot, apply_symmetric_pivot,
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "SkewMatrixLower", "SkewTridiagonal", "SSplitting", "UnitLowerFactor",
     "PermutationVector", "FlopCounter", "CallTrace", "FactorizationResult",
-    "Features", "DEFAULT_BLOCK", "LADDER",
+    "Features", "DEFAULT_BLOCK", "DEFAULT_PIVOT_BLOCK", "LADDER",
     "ZeroPivot", "PivotUnsupported", "InvalidVariant", "SingularT",
     "form_s_splitting", "apply_symmetric_pivot", "compose_permutation",
     "reconstruct", "pack_in_place", "unpack_in_place", "random_skew",

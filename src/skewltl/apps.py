@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 
 from . import _blas
-from .blocked import DEFAULT_BLOCK, ltlt_blk_piv
+from .blocked import DEFAULT_PIVOT_BLOCK, ltlt_blk_piv
 from .core import SingularT, SkewMatrixLower, _work_dtype, compose_permutation
 from .unblocked import _check_dtype, _check_size
 
@@ -42,8 +42,9 @@ def _forget(ref):
 
 def _factor(x, b, needed):
     """Check b and x's dtype, then factor x when ``needed`` with
-    ``ltlt_blk_piv(fused="var2b")`` at block b (default min(DEFAULT_BLOCK,
-    m)), looked up in this module when called so a wrapper on it sees it.
+    ``ltlt_blk_piv(fused="var2b")`` at block b (default
+    min(``DEFAULT_PIVOT_BLOCK``, m), the pivoted driver's own default), looked
+    up in this module when called so a wrapper on it sees it.
 
     The last result is kept, keyed by (block, dtype, m, ``_digest``), until
     a call with the same key takes it (unfactored, so callers must not
@@ -56,7 +57,7 @@ def _factor(x, b, needed):
     _check_dtype(x)
     if not needed:
         return None
-    b = min(DEFAULT_BLOCK, x.m) if b is None else b
+    b = min(DEFAULT_PIVOT_BLOCK, x.m) if b is None else b
     data = x.data
     if data.dtype == object:
         return ltlt_blk_piv(x, b=b, fused="var2b")

@@ -28,11 +28,17 @@ from .core import (InvalidVariant, PivotUnsupported, SkewMatrixLower,
                    SkewTridiagonal, form_s_splitting)
 from .instrument import FlopCounter, counting
 from .kernels2 import apply_row_pivots, skew_rank2, skew_tridiag_gemv
-from .kernels3 import (PANEL_NB, form_w, skew_rank2k, skew_tridiag_gemm,
-                       skew_tridiag_rankk)
+from .kernels3 import (PANEL_NB, _clear_upper_band, _upper_scratch, form_w,
+                       skew_rank2k, skew_tridiag_gemm, skew_tridiag_rankk)
 from .unblocked import FactorizationResult, _check_size, _finalize, _panel_ll, _workbuf
 
 DEFAULT_BLOCK = 256
+#: Default block of the pivoted path (``ltlt_blk_piv``, ``apps.pfaffian`` and
+#: ``apps.solve``, and the CLI with ``--pivot``).  Its panel is level 2 and
+#: memory-bound, with traffic growing as m^2 b / 4, while a smaller block
+#: adds trailing updates; LAPACK's Aasen takes 64 for the same reason.
+#: Measured with pivoted var2b, one BLAS thread (README: "Block size").
+DEFAULT_PIVOT_BLOCK = 128
 PIVOTED_FUSED = ("var1", "var2a", "var2b")
 
 
@@ -191,7 +197,7 @@ def _right_looking(x, b, scheme, features, pivot):
     m = x.m
     pivots = np.zeros(m, dtype=np.int64) if pivot else None
     fc = FlopCounter()
-    with counting(fc):
+    with counting(fc), _upper_scratch():
         r = 0
         while r < m - 1:
             # a carried panel starts at the previous block's delayed transform
@@ -210,6 +216,7 @@ def _right_looking(x, b, scheme, features, pivot):
             if s.straggler:
                 _straggler(work, rt)
             r = rt
+    _clear_upper_band(work)
     return _finalize(work, tau, pivots, fc)
 
 
@@ -263,7 +270,7 @@ def ltlt_blk_twostep(x: SkewMatrixLower, b=DEFAULT_BLOCK,
     return _right_looking(x, b, "twostep", features, pivot=False)
 
 
-def ltlt_blk_piv(x: SkewMatrixLower, b=DEFAULT_BLOCK, fused="var1",
+def ltlt_blk_piv(x: SkewMatrixLower, b=DEFAULT_PIVOT_BLOCK, fused="var1",
                  features=None) -> FactorizationResult:
     """Pivoted blocked right-looking factorization.
 
@@ -273,5 +280,9 @@ def ltlt_blk_piv(x: SkewMatrixLower, b=DEFAULT_BLOCK, fused="var1",
     pivots are then applied to the older L columns in one blocked pass.
     ``fused`` picks the trailing-update scheme (var1 straggler, or the 2a /
     2b fused sandwiches).  The first pivot is never computed: it is zero.
+
+    The block ``b`` defaults to ``DEFAULT_PIVOT_BLOCK``, smaller than the
+    unpivoted drivers' ``DEFAULT_BLOCK``: the pivoted panel runs column by
+    column, so its cost grows with b.
     """
     return _right_looking(x, b, fused, features, pivot=True)

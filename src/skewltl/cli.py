@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _blas, kernels3
 from .apps import pfaffian, solve
-from .blocked import (DEFAULT_BLOCK, LADDER, LADDER_VARIANT,
+from .blocked import (DEFAULT_BLOCK, DEFAULT_PIVOT_BLOCK, LADDER, LADDER_VARIANT,
                       ltlt_blk_left, ltlt_blk_piv, ltlt_blk_twostep,
                       ltlt_blk_var1, ltlt_blk_var2a, ltlt_blk_var2b)
 from .core import (InvalidVariant, PivotUnsupported, SkewMatrixLower,
@@ -70,11 +70,18 @@ _DRIVERS = {
 VARIANT_NAMES = tuple(_DRIVERS)
 
 
-def run_variant(name, x, block=DEFAULT_BLOCK, pivot=False, features=None):
-    """Dispatch a factorization by CLI variant name."""
+def _default_block(pivot):
+    """The block the drivers take when none is given: ``ltlt_blk_piv``'s
+    with ``pivot``, the unpivoted blocked drivers' otherwise."""
+    return DEFAULT_PIVOT_BLOCK if pivot else DEFAULT_BLOCK
+
+
+def run_variant(name, x, block=None, pivot=False, features=None):
+    """Dispatch a factorization by CLI variant name; ``block=None`` takes
+    the driver's own default (``_default_block``)."""
     if name not in _DRIVERS:
         raise InvalidVariant(f"unknown variant {name!r}; choose from {VARIANT_NAMES}")
-    return _DRIVERS[name](x, block, pivot, features)
+    return _DRIVERS[name](x, _default_block(pivot) if block is None else block, pivot, features)
 
 
 def residual_norm(x, result):
@@ -112,7 +119,7 @@ def _fail(message):
 
 
 def cmd_factor(args):
-    if args.block < 1:
+    if args.block is not None and args.block < 1:
         return _fail(f"--block must be >= 1, got {args.block}")
     if not (args.preset or args.infile) and args.size < 1:
         return _fail(f"--size must be >= 1, got {args.size}")
@@ -179,7 +186,8 @@ def _int_list(text, default):
 
 def cmd_bench(args):
     sizes = _int_list(args.sizes, args.size)
-    blocks = _int_list(args.blocks, args.block)
+    blocks = _int_list(args.blocks, _default_block(args.pivot) if args.block is None
+                       else args.block)
     if sizes is None or blocks is None:
         return _fail("--sizes and --blocks take comma-separated integers")
     variants = args.variant.split(",")
@@ -409,7 +417,9 @@ def build_parser():
     fp.add_argument("--in", dest="infile", metavar="PATH", help="Matrix Market input")
     fp.add_argument("--preset", choices=["worked-example"])
     fp.add_argument("--variant", default="blk-var2b", choices=VARIANT_NAMES)
-    fp.add_argument("--block", type=int, default=DEFAULT_BLOCK)
+    block_help = (f"block size (default: {DEFAULT_BLOCK}, or {DEFAULT_PIVOT_BLOCK} with "
+                  "--pivot, the drivers' own defaults)")
+    fp.add_argument("--block", type=int, help=block_help)
     fp.add_argument("--pivot", action="store_true")
     fp.add_argument("--threads", type=int, help=f"accepted and ignored; {blas_threads}")
     fp.add_argument("--out", metavar="PREFIX", help="write L/tau/p files")
@@ -425,7 +435,7 @@ def build_parser():
     bp = sub.add_parser("bench", help="benchmark sweep, CSV output")
     bp.add_argument("--size", type=int, default=1024)
     bp.add_argument("--sizes", help="comma-separated m values")
-    bp.add_argument("--block", type=int, default=DEFAULT_BLOCK)
+    bp.add_argument("--block", type=int, help=block_help)
     bp.add_argument("--blocks", help="comma-separated block sizes")
     bp.add_argument("--variant", default="blk-var2b",
                     help="variant name or comma-separated list")

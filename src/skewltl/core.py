@@ -141,12 +141,18 @@ class SkewTridiagonal:
 
 
 def _pack_t(tau, x):
-    """T X in X's dtype for the skew tridiagonal T with subdiagonal tau (X: k rows or k-vector)."""
+    """T X for the skew tridiagonal T with subdiagonal tau (X: k rows or
+    k-vector), in the dtype of tau and X together.  Row i is
+    tau[i-1] x[i-1] - tau[i] x[i+1]: the first product is written in place,
+    the second is the one temporary."""
     k = x.shape[0]
-    out = np.zeros(x.shape, dtype=x.dtype)
+    out = np.empty(x.shape, dtype=x.dtype if tau.dtype == x.dtype else np.result_type(tau, x))
+    if k:
+        out[0] = 0
     if k > 1:
-        tau = tau.reshape((k - 1,) + (1,) * (x.ndim - 1))
-        out[1:] = tau * x[:-1]
+        if x.ndim > 1:
+            tau = tau[:, None]
+        np.multiply(tau, x[:-1], out=out[1:])
         out[:-1] -= tau * x[1:]
     return out
 
@@ -259,9 +265,10 @@ class PermutationVector:
         if len(self.pivots) > m:
             raise ValueError("more pivots than rows")
         self.m = m
-        for k, off in enumerate(self.pivots):
-            if off < 0 or k + off >= m:
-                raise ValueError(f"pivot {off} out of range at position {k}")
+        bad = np.flatnonzero((self.pivots < 0) | (self.pivots >= m - np.arange(len(self.pivots))))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"pivot {self.pivots[k]} out of range at position {k}")
 
     def __len__(self):
         return len(self.pivots)
@@ -287,14 +294,15 @@ def compose_permutation(p: PermutationVector) -> np.ndarray:
 def _swap_order(pivots, n):
     """``compose_permutation`` of the offsets ``pivots`` on n rows; raises
     IndexError on an offset that leaves [k, n)."""
-    idx = np.arange(n)
-    for k, off in enumerate(pivots):
-        if off:
-            j = k + off
-            if j >= n or off < 0:
-                raise IndexError("pivot out of range")
-            idx[k], idx[j] = idx[j], idx[k]
-    return idx
+    pivots = np.asarray(pivots)
+    idx = list(range(n))
+    nz = np.flatnonzero(pivots)
+    for k, off in zip(nz.tolist(), pivots[nz].tolist()):
+        j = k + off
+        if j >= n or off < 0:
+            raise IndexError("pivot out of range")
+        idx[k], idx[j] = idx[j], idx[k]
+    return np.array(idx, dtype=np.intp)
 
 
 def invert_permutation(perm: np.ndarray) -> np.ndarray:
@@ -308,7 +316,8 @@ def _sym_swap_lower(buf, a, b):
 
     Only stored (strictly-lower) positions are touched; the entries strictly
     between a and b cross the diagonal under the swap and change sign, as
-    does (b, a).
+    does (b, a).  Returns the number of elements moved, for the caller to
+    count as ``pivot`` work.
     """
     n = buf.shape[0]
     # rows a and b left of column a: plain row swap
@@ -327,7 +336,7 @@ def _sym_swap_lower(buf, a, b):
         buf[a + 1:b, a] = -buf[b, a + 1:b]
         buf[b, a + 1:b] = -tmp
     buf[b, a] = -buf[b, a]
-    add_flops("pivot", 2 * (a + (n - b - 1) + (b - a - 1)) + 1)
+    return 2 * (a + (n - b - 1) + (b - a - 1)) + 1
 
 
 def apply_symmetric_pivot(x: SkewMatrixLower, k, pi):
@@ -336,7 +345,7 @@ def apply_symmetric_pivot(x: SkewMatrixLower, k, pi):
         return
     if pi < 0 or k < 0 or k + pi >= x.m:
         raise IndexError("pivot index out of range")
-    _sym_swap_lower(x.data, k, k + pi)
+    add_flops("pivot", _sym_swap_lower(x.data, k, k + pi))
 
 
 def reconstruct(l: UnitLowerFactor, t: SkewTridiagonal, p: PermutationVector | None = None) -> SkewMatrixLower:

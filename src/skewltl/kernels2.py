@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _blas, instrument
 from .core import SkewTridiagonal, _pack_t, _swap_order, invert_permutation
-from .kernels3 import _scale, _skew_sweep, _sweep
+from .kernels3 import _check_product, _scale, _skew_sweep, _sweep
 
 
 def get_workers():
@@ -35,6 +35,7 @@ def skew_rank2(a, alpha, x, y, beta=1):
     n = a.shape[0]
     if a.shape[1] != n or len(x) != n or len(y) != n:
         raise ValueError("dimension mismatch")
+    _check_product(a, "A", alpha, beta, x, y)
     instrument.record_call("skew_rank2")
     instrument.add_flops("level2", 2 * n * max(n - 1, 0))
     _scale(a, beta)
@@ -46,8 +47,10 @@ def skew_rank2(a, alpha, x, y, beta=1):
 def gen_rank2(a, alpha, x, u, y, v, beta=1):
     """A := beta*A + alpha*(x u^T + y v^T) on a p x q rectangle."""
     p, q = a.shape
+    x, u, y, v = map(np.asarray, (x, u, y, v))
     if len(x) != p or len(y) != p or len(u) != q or len(v) != q:
         raise ValueError("dimension mismatch")
+    _check_product(a, "A", alpha, beta, x, u, y, v)
     instrument.record_call("gen_rank2")
     instrument.add_flops("level2", 4 * p * q)
     _scale(a, beta, tril=False)
@@ -70,9 +73,7 @@ def skew_tridiag_gemv(y, alpha, a, t: SkewTridiagonal, x, beta=1, fused=True):
     p, k = a.shape
     if t.m != k or len(x) != k or len(y) != p:
         raise ValueError("dimension mismatch")
-    dt = np.result_type(a, t.tau, x, alpha, beta)
-    if not np.can_cast(dt, y.dtype, "same_kind"):
-        raise TypeError(f"cannot write a {dt} product into a {y.dtype} y")
+    _check_product(y, "y", alpha, beta, a, t.tau, x)
     instrument.record_call("skew_tridiag_gemv")
     instrument.add_flops("level2", 2 * p * k + 4 * k)
     _scale(y, beta, tril=False)
@@ -81,7 +82,7 @@ def skew_tridiag_gemv(y, alpha, a, t: SkewTridiagonal, x, beta=1, fused=True):
     if fused:
         # matmul hands a strided view to gemv with its leading dimension;
         # .dot would first copy it (the unfused baseline keeps .dot)
-        acc = a @ _pack_t(t.tau, x.astype(np.result_type(t.tau, x), copy=False))
+        acc = a @ _pack_t(t.tau, x)
     else:
         acc = a.dot(t.dense().dot(np.asarray(x)))
         instrument.add_flops("level2", 2 * k * k)

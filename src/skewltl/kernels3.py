@@ -10,25 +10,41 @@ The product is accumulated one ``NB``-wide block column of C at a time.
 For each block column the k-side operand (T A^T, T B, or the stacked
 rank-2k factors) is packed, so the tridiagonal multiply rides along with
 that packing step and no workspace proportional to the full k x m product
-is ever formed.  The diagonal block accumulates through a mask, so entries
-at or above the diagonal are never written (and garbage stored there never
-propagates).  The strip below it is accumulated in place by one BLAS
-``?gemm`` with C's own leading dimension, whatever beta was, as BLIS-style
-GEMM accumulates into C (Goto and van de Geijn, TOMS 2008); cache blocking
-and any threading are the BLAS's own, reached through ``_blas``.  Operands BLAS cannot take (exact scalars, mixed
+is ever formed.  The diagonal block accumulates through a mask, so a
+public call never writes entries at or above the diagonal (and garbage
+stored there never propagates).  The strip below it is accumulated in
+place by one BLAS ``?gemm`` with C's own leading dimension, whatever beta
+was, as BLIS-style GEMM accumulates into C (Goto and van de Geijn, TOMS
+2008); cache blocking and any threading are the BLAS's own, reached
+through ``_blas``.  Operands BLAS cannot take (exact scalars, mixed
 dtypes, rows of C that are not unit-strided) are updated in ``NB``-row
 chunks with plain matmuls.  The rank-2 kernels ``skew_rank2`` and
 ``gen_rank2`` of ``kernels2`` run on this sweep with k = 1.
+
+Inside a blocked driver's block loop (``_upper_scratch``), where nothing
+reads the work buffer on or above its diagonal, the sweep sends each whole
+block column, diagonal tile included, to one ``?gemm``: the tile's
+temporary and masked add go, and the tile's upper part takes garbage that
+the driver clears (``_clear_upper_band``) before it returns.  Public calls,
+other threads, exact scalars and operands BLAS declines keep the masked
+tile.
+
+Every kernel checks the dtype of its product against C before writing
+anything (``_check_product``): a complex product into a real C raises
+TypeError and leaves C as it was.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
+from contextvars import ContextVar
 
 import numpy as np
 
 from . import _blas, instrument
 from .core import SkewTridiagonal, _pack_t
+from .instrument import _bound
 
 # Block-column width of the sweep, and the row-chunk height of its matmul
 # fallback (where a full-height temporary was about 35% slower).  With the
@@ -45,6 +61,62 @@ NB = 256
 # thread) widths 1, 16, 32, 64 and 128 took 1.30, 1.08, 1.05, 1.04 and
 # 1.16 s, of which the panels took 0.48, 0.25, 0.23, 0.22 and 0.32 s.
 PANEL_NB = 32
+
+
+#: True only inside a blocked driver's block loop (``_upper_scratch``); a
+#: context variable, so other threads and every public call see False.
+_full_tile = ContextVar("skewltl_full_tile", default=False)
+
+
+def _upper_scratch():
+    """Let ``_sweep`` write on and above C's diagonal for the enclosed calls:
+    the caller must not read there, and clears it with
+    ``_clear_upper_band``."""
+    return _bound(_full_tile, True)
+
+
+def _clear_upper_band(work):
+    """Zero what full-tile sweeps may have written on or above the diagonal
+    of the square ``work``: entries (i, j) with 0 <= j - i < NB.  Only
+    nonzero entries are written, so a page no sweep wrote is read (the
+    kernel maps its zero page) but never made resident."""
+    if work.dtype == object:  # BLAS declines exact scalars: nothing written
+        return
+    m = work.shape[0]
+    w = min(NB, m)
+    head = work[:w - 1, :w - 1]  # the columns whose band starts at row 0
+    np.copyto(head, 0, where=~_tril_mask(head.shape, -1) & (head != 0))
+    # row j - w + 1 of the band holds column j's entries (j - w + 1 + t, j),
+    # each a contiguous run that ends on the diagonal
+    s0, s1 = work.strides
+    band = np.lib.stride_tricks.as_strided(work[:, w - 1:], (m - w + 1, w), (s0 + s1, s0))
+    np.copyto(band, 0, where=band != 0)
+
+
+#: ``_check_product``'s result per combination of dtypes and scalar types.
+_RULES = {}
+_dtype = operator.attrgetter("dtype")
+
+
+def _check_product(c, name, alpha, beta, *operands):
+    """Raise TypeError, before anything is written, when C (``name`` in
+    the message) cannot hold beta*C + alpha*(product of the operand arrays)
+    under ``same_kind`` casting (a complex product into a real C, say).
+    Scalars numpy has no dtype for (``Fraction``) count as object.  Under
+    NEP 50 a Python scalar's value never changes the result dtype, so the
+    rule is evaluated once per combination of C's and the operands' dtypes
+    and the scalars' types.  Returns the product's dtype."""
+    key = (c.dtype, type(alpha), type(beta), getattr(alpha, "dtype", None),
+           getattr(beta, "dtype", None), *map(_dtype, operands))
+    rule = _RULES.get(key)
+    if rule is None:
+        scalars = [v if isinstance(v, (int, float, complex, np.generic, np.ndarray))
+                   else np.dtype(object) for v in (alpha, beta)]
+        dt = np.result_type(*operands, *scalars)
+        rule = _RULES[key] = (dt, np.can_cast(dt, c.dtype, "same_kind"))
+    if not rule[1]:
+        raise TypeError(f"cannot write a {rule[0]} product into a {c.dtype} {name}")
+    return rule[0]
 
 
 def _check_alias(c, a, name):
@@ -96,15 +168,20 @@ def _sweep(c, left, pack, alpha, tril=True):
     ``pack(jc, j1)`` returns the k x (j1 - jc) operand of block column
     [jc, j1).  With ``tril`` only entries with row > col are written.  The
     strip below the diagonal block is one in-place BLAS call when the
-    operands allow it, and ``NB``-row chunked matmuls otherwise.
+    operands allow it, and ``NB``-row chunked matmuls otherwise.  Under
+    ``_upper_scratch`` the diagonal block goes into the strip's BLAS call
+    instead.
     """
     p, q = c.shape
+    full = tril and _full_tile.get()
     for jc in range(0, q, NB):
         j1 = min(jc + NB, q)
         top = jc if tril else 0
         if top >= p:
             break
         panel = pack(jc, j1)
+        if full and _blas.gemm_into(c[jc:, jc:j1], left[jc:], panel, alpha):
+            continue
         if tril:
             top = min(j1, p)
             tile = c[jc:top, jc:j1]
@@ -129,6 +206,7 @@ def skew_tridiag_rankk(c, alpha, a, t: SkewTridiagonal, beta=1, *, fused=True):
     if c.shape[0] != n or c.shape[1] != n or t.m != k:
         raise ValueError("dimension mismatch")
     _check_alias(c, a, "a")
+    _check_product(c, "C", alpha, beta, a, t.tau)
     instrument.record_call("skew_tridiag_rankk")
     instrument.add_flops("level3", 2 * k * _lower_entries(n) + 4 * k * n)
     _scale(c, beta)
@@ -159,6 +237,7 @@ def skew_tridiag_gemm(c, alpha, a, t: SkewTridiagonal, b, beta=1, *, tril=False,
         raise ValueError("dimension mismatch")
     _check_alias(c, a, "a")
     _check_alias(c, b, "b")
+    _check_product(c, "C", alpha, beta, a, t.tau, b)
     instrument.record_call("skew_tridiag_gemm")
     written = _lower_entries(min(p, q)) + max(p - q, 0) * q if tril else p * q
     instrument.add_flops("level3", 2 * k * written + 4 * k * q)
@@ -187,6 +266,7 @@ def skew_rank2k(c, alpha, a, b, beta=1):
         raise ValueError("dimension mismatch")
     _check_alias(c, a, "a")
     _check_alias(c, b, "b")
+    _check_product(c, "C", alpha, beta, a, b)
     instrument.record_call("skew_rank2k")
     keep = np.flatnonzero((a != 0).any(axis=0) & (b != 0).any(axis=0))
     keff = len(keep)

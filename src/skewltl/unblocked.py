@@ -8,8 +8,11 @@ blocked driver; the other two factor whole matrices only.  The frame
 Working layout: the input's strictly-lower part is copied into a zeroed
 column-major buffer that the elimination overwrites column by column; the
 input is not read on or above its diagonal.  The buffer is returned as
-``L.data``; on and above its diagonal it is not part of L: today it holds
-zeros, but a later driver may use it as scratch.  Once column g is
+``L.data``; on and above its diagonal it is not part of L.  Inside a blocked
+driver's block loop the band of ``kernels3.NB`` entries on and above the
+diagonal is scratch, which the trailing updates' full-tile sweep writes and
+nothing reads; the driver zeroes it again before it returns, so ``L.data``
+is zero there on return.  Once column g is
 eliminated, buffer column g holds column g+1 of L shifted one column left,
 its unit entry an explicit 1.0 in the subdiagonal slot (tau[g] is kept in
 its own vector), so a finished panel is directly consumable as the A operand
@@ -22,8 +25,9 @@ cache line taller and the drivers work on (and return L as) its top m rows:
 power-of-two strides map the columns of a block onto the same cache sets,
 which at m = 4096 made the trailing update run at a third of its padded
 rate.  A buffer of 32 MiB or more is a private mapping on 4 KiB pages
-(``_zeroed``); the factorizations never write on or above its diagonal, so
-the pages that hold only upper-triangle entries never become resident.
+(``_zeroed``); the factorizations write above its diagonal only inside that
+band, so the pages that hold only upper-triangle entries beyond it never
+become resident.
 """
 
 from __future__ import annotations
@@ -135,7 +139,7 @@ def _finalize(work, tau, pivots, fc, first_column=None):
                                PermutationVector(p, work.shape[0]), fc)
 
 
-def _eliminate(work, tau, g, pivots, swap_from):
+def _eliminate(work, tau, g, pivots, swap_from, tally):
     """Turn buffer column g into column g+1 of L, with its explicit unit
     entry in the subdiagonal slot, and record tau[g] in the external vector.
 
@@ -143,14 +147,16 @@ def _eliminate(work, tau, g, pivots, swap_from):
     swapped to the top first (ties to the lowest index) and the offset is
     recorded; the symmetric swap covers all columns >= swap_from, leaving
     older columns for the caller to fix up in one blocked pass.
+
+    The divisions and the elements the swap moved are added to ``tally``,
+    which the caller hands to ``_count`` once per pass over its columns.
     """
     if pivots is not None:
-        sub = work[g + 1:, g]
-        off = int(np.argmax(np.abs(sub)))
+        off = int(abs(work[g + 1:, g]).argmax())
         pivots[g + 1] = off
         if off:
             a = g + 1 - swap_from
-            _sym_swap_lower(work[swap_from:, swap_from:], a, a + off)
+            tally[1] += _sym_swap_lower(work[swap_from:, swap_from:], a, a + off)
     piv = work[g + 1, g]
     tau[g] = piv
     below = work[g + 2:, g]
@@ -160,8 +166,14 @@ def _eliminate(work, tau, g, pivots, swap_from):
         # whole subcolumn zero: tau 0, L column is a basis vector; continue
     else:
         below /= piv
-        instrument.add_flops("level2", below.size)
+        tally[0] += below.size
     work[g + 1, g] = 1
+
+
+def _count(tally):
+    """Add an ``_eliminate`` tally of (divisions, elements moved)."""
+    instrument.add_flops("level2", tally[0])
+    instrument.add_flops("pivot", tally[1])
 
 
 def _panel_ll(work, tau, lo, base, nelim, *, pivots=None, fused_l2=True,
@@ -192,6 +204,7 @@ def _panel_ll(work, tau, lo, base, nelim, *, pivots=None, fused_l2=True,
     if pivots is not None:
         width = 1
     end = base + nelim
+    tally = [0, 0]
     for g0 in range(base, end, width):
         g1 = min(g0 + width, end)
         mid = g0 if width > 1 else lo   # columns [lo, mid) go in one product
@@ -205,18 +218,21 @@ def _panel_ll(work, tau, lo, base, nelim, *, pivots=None, fused_l2=True,
                 skew_tridiag_gemv(work[g + 1:, g], -1, work[g + 1:, left:g],
                                   SkewTridiagonal(tau[left + 1:g]), work[g, left:g],
                                   1, fused=fused_l2)
-            _eliminate(work, tau, g, pivots, lo)
+            _eliminate(work, tau, g, pivots, lo, tally)
+    _count(tally)
 
 
 def _panel_rl(work, tau, pivots):
     """Right-looking eliminations of the whole matrix: each transform's skew
     rank-2 reaches the trailing matrix at once (none after the last)."""
     m = work.shape[0]
+    tally = [0, 0]
     for g in range(m - 1):
-        _eliminate(work, tau, g, pivots, 0)
+        _eliminate(work, tau, g, pivots, 0, tally)
         s = g + 2
         if s < m:
             skew_rank2(work[s:, s:], 1, work[s:, g], work[s:, g + 1])
+    _count(tally)
 
 
 def _panel_twostep(work, tau, pivots):
@@ -227,9 +243,10 @@ def _panel_twostep(work, tau, pivots):
     W = L S.  An odd leftover column is the last one, with no trailing
     matrix left to update."""
     m = work.shape[0]
+    tally = [0, 0]
     for g in range(0, m - 2, 2):
-        _eliminate(work, tau, g, pivots, 0)
-        _eliminate(work, tau, g + 1, pivots, 0)
+        _eliminate(work, tau, g, pivots, 0, tally)
+        _eliminate(work, tau, g + 1, pivots, 0, tally)
         s = g + 3
         lcol1 = work[s:, g]        # L column g+1 below row g+2
         lcol2 = work[s:, g + 1]    # L column g+2
@@ -242,7 +259,8 @@ def _panel_twostep(work, tau, pivots):
         if s < m:
             skew_rank2(work[s:, s:], -1, wv, lcol2)
     if m % 2 == 0:
-        _eliminate(work, tau, m - 2, pivots, 0)
+        _eliminate(work, tau, m - 2, pivots, 0, tally)
+    _count(tally)
 
 
 def _unblocked(x, core, pivot, width=None, first_column=None):

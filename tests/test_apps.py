@@ -1,6 +1,7 @@
 """Pfaffian and solve."""
 
 import gc
+import inspect
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from skewltl import (SingularT, SkewMatrixLower, _blas, apps, pfaffian, random_s
                      solve)
 from skewltl import ltlt_blk_piv, ltlt_blk_var1, ltlt_unb_ll, ltlt_unb_rl
 from skewltl.apps import _tridiag_solve
+from skewltl.blocked import DEFAULT_PIVOT_BLOCK
 from skewltl.oracle import exact_from_int, pfaffian_bruteforce
 
 from helpers import worked_example
@@ -357,6 +359,15 @@ class TestFactorCache:
         pfaffian(x, b=40)  # the default at m = 40
         solve(x, np.ones(40), block=8)
         assert calls == [16, 40, 8]
+
+    def test_default_block_is_the_pivoted_drivers(self, calls):
+        # above DEFAULT_PIVOT_BLOCK, no block means ltlt_blk_piv's own default
+        m = DEFAULT_PIVOT_BLOCK + 10
+        x = random_skew(m, seed=54, scale=1.6 / m ** 0.5)
+        pfaffian(x)
+        solve(x, np.ones(m))
+        assert calls == [DEFAULT_PIVOT_BLOCK]
+        assert inspect.signature(ltlt_blk_piv).parameters["b"].default == DEFAULT_PIVOT_BLOCK
 
     def test_object_dtype_never_cached(self, calls):
         x = exact_from_int([2, 1, 3, 4, 1, 5], 4)

@@ -802,3 +802,64 @@ class TestMappedWorkBuffer:
             assert r.l.data.tobytes() == ref.l.data.tobytes()
             assert r.t.tau.tobytes() == ref.t.tau.tobytes()
             assert r.p.pivots.tobytes() == ref.p.pivots.tobytes()
+
+
+class TestFullTileSweep:
+    """Inside the block loop the sweep writes whole block columns, diagonal
+    tiles included (``kernels3._upper_scratch``); no public kernel call
+    outside that loop may do so."""
+
+    @staticmethod
+    def _public_calls_keep_upper():
+        # a public rankk and a tril gemm: every entry on or above the
+        # diagonal must keep its bits
+        from skewltl.kernels3 import skew_tridiag_gemm, skew_tridiag_rankk
+        rng = np.random.Generator(np.random.Philox(61))
+        n, k = 40, 6
+        a, bt = rng.standard_normal((n, k)), rng.standard_normal((k, n))
+        t = SkewTridiagonal(rng.standard_normal(k - 1))
+        upper = ~np.tri(n, k=-1, dtype=bool)
+        for call in (lambda c: skew_tridiag_rankk(c, -1.0, a, t, 1),
+                     lambda c: skew_tridiag_gemm(c, -1.0, a, t, bt, 1, tril=True)):
+            c0 = np.asfortranarray(rng.standard_normal((n, n)))
+            c = c0.copy(order="F")
+            call(c)
+            if not np.array_equal(c[upper], c0[upper]) or np.array_equal(c, c0):
+                return False
+        return True
+
+    def test_after_driver_raised(self):
+        # a zero pivot in column 12, in var2b's second panel (b = 8): the
+        # first panel's trailing update already ran inside the loop
+        rng = np.random.Generator(np.random.Philox(62))
+        x = SkewMatrixLower.zeros(24)
+        x.data[:12, :12] = np.tril(rng.standard_normal((12, 12)), -1)
+        x.data[12:, 12:] = np.tril(rng.standard_normal((12, 12)), -1)
+        x.data[13, 12] = 0.0
+        trace = instrument.CallTrace()
+        with instrument.tracing(trace), pytest.raises(ZeroPivot) as err:
+            ltlt_blk_var2b(x, b=8)
+        assert err.value.column == 12
+        assert trace.count("skew_tridiag_rankk") >= 1
+        assert self._public_calls_keep_upper()
+
+    def test_other_thread_while_driver_runs(self, monkeypatch):
+        # the public calls run in a second thread while the driver waits
+        # inside its first trailing update, with the switch set
+        from skewltl import kernels3
+        inner, seen = blocked.skew_tridiag_rankk, []
+
+        def rankk(*args, **kwargs):
+            if not seen:
+                seen.append(kernels3._full_tile.get())
+                worker = threading.Thread(
+                    target=lambda: seen.append(self._public_calls_keep_upper()))
+                worker.start()
+                worker.join(timeout=60)
+                seen.append(worker.is_alive())
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(blocked, "skew_tridiag_rankk", rankk)
+        r = ltlt_blk_var2b(random_skew(300, seed=63), b=32)
+        assert seen == [True, True, False]
+        assert not np.triu(r.l.data).any()

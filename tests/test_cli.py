@@ -14,6 +14,7 @@ from skewltl import (InvalidVariant, PivotUnsupported, SkewMatrixLower, ltlt_blk
                      ltlt_blk_var2b, ltlt_unb_ll, ltlt_unb_rl, ltlt_unb_twostep, mm_write,
                      random_skew)
 from skewltl import _blas, cli
+from skewltl.blocked import DEFAULT_BLOCK, DEFAULT_PIVOT_BLOCK
 from skewltl.cli import VARIANT_NAMES, main, run_variant
 
 from helpers import worked_example
@@ -191,6 +192,27 @@ class TestBench:
         assert code == 0
         text = path.read_text()
         assert text.startswith("# seed=0")
+
+    @pytest.mark.parametrize("pivot", [False, True])
+    def test_default_block_is_the_drivers(self, capsys, pivot):
+        # without --block, bench and factor take the driver's own default
+        calls = []
+        real = cli._DRIVERS["blk-var2b"]
+        want = DEFAULT_PIVOT_BLOCK if pivot else DEFAULT_BLOCK
+
+        def spy(x, b, pv, f):
+            calls.append(b)
+            return real(x, b, pv, f)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(cli._DRIVERS, "blk-var2b", spy)
+            code, out, _ = run(capsys, "bench", "--size", "40", "--reps", "1",
+                               *(["--pivot"] if pivot else []))
+            assert code == 0
+            assert run(capsys, "factor", "--size", "40", *(["--pivot"] if pivot else []))[0] == 0
+        row = next(csv.DictReader(io.StringIO("\n".join(out.strip().splitlines()[1:]))))
+        assert row["block"] == str(want)
+        assert calls == [want, want]
 
     def test_invalid_variant(self, capsys):
         code, _, err = run(capsys, "bench", "--variant", "cholesky")

@@ -12,7 +12,8 @@ from skewltl import (PermutationVector, SkewMatrixLower, SkewTridiagonal,
                      form_s_splitting, ltlt_unb_rl, pack_in_place,
                      random_skew, reconstruct, unpack_in_place)
 from skewltl import ltlt_blk_piv, ltlt_unb_ll
-from skewltl.core import UnitLowerFactor, _sym_swap_lower, invert_permutation
+from skewltl.core import (UnitLowerFactor, _swap_order, _sym_swap_lower,
+                          invert_permutation)
 
 from helpers import worked_example
 
@@ -207,6 +208,34 @@ class TestPermutation:
     def test_validation(self):
         with pytest.raises(ValueError):
             PermutationVector(np.array([0, 5]), 3)
+
+    @pytest.mark.parametrize("pivots, message", [
+        ([0, 5], "pivot 5 out of range at position 1"),
+        ([2, 0, 2, -1], "pivot 2 out of range at position 2"),
+        ([0, -1, 9], "pivot -1 out of range at position 1"),
+        ([4, 0, 0, 0], "pivot 4 out of range at position 0"),
+    ])
+    def test_first_bad_offset_named(self, pivots, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PermutationVector(np.array(pivots), 3 if len(pivots) < 4 else 4)
+
+    @pytest.mark.parametrize("pivots", [[0, 0, 2], [1, 0, -1], [0, 3, 1]])
+    def test_swap_order_out_of_range(self, pivots):
+        with pytest.raises(IndexError, match="^pivot out of range$"):
+            _swap_order(np.array(pivots), 3)
+
+    def test_swap_order_matches_loop(self):
+        # the reference: every offset in turn, as numpy scalars
+        rng = np.random.Generator(np.random.Philox(10))
+        n = 300
+        pivots = np.array([int(rng.integers(0, n - k)) for k in range(n)])
+        pivots[rng.random(n) < 0.5] = 0
+        want = np.arange(n)
+        for k, off in enumerate(pivots):
+            want[k], want[k + off] = want[k + off], want[k]
+        got = _swap_order(pivots, n)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
     def test_sign(self):
         assert PermutationVector(np.array([0, 0]), 4).sign() == 1

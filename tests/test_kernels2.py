@@ -446,3 +446,83 @@ def test_level2_oracle_equivalence_100_instances():
 def test_dimension_mismatch_rejected(call):
     with pytest.raises(ValueError, match="dimension mismatch"):
         call()
+
+
+@pytest.mark.parametrize("kernel", ["skew_rank2", "gen_rank2"])
+def test_complex_product_into_real_a_rejected(kernel):
+    # the product's dtype is checked before beta is applied, so A is left
+    # bitwise untouched
+    n = 6
+    x, y = RNG.standard_normal(n), RNG.standard_normal(n)
+    a0 = np.asfortranarray(RNG.standard_normal((n, n)))
+    a = a0.copy(order="F")
+    with pytest.raises(TypeError, match="cannot write a complex128 product into a float64 A"):
+        if kernel == "skew_rank2":
+            skew_rank2(a, 1j, x, y, 0.5)
+        else:
+            gen_rank2(a, 1.0, x, y + 1j, y, x, 0.5)
+    assert a.tobytes() == a0.tobytes()
+
+
+class TestGemvDtypeRule:
+    """``skew_tridiag_gemv`` evaluates its dtype rule once per combination of
+    dtypes and scalar types (``kernels3._check_product``)."""
+
+    def test_complex_rejected_after_real_call(self):
+        a, t = np.ones((2, 3)), SkewTridiagonal(np.array([1.0, 2.0]))
+        y = np.zeros(2)
+        skew_tridiag_gemv(y, 1.0, a, t, np.ones(3), 0.5)
+        for alpha, x, beta in ((1.0, np.array([1j, 0, 1]), 0.5), (1j, np.ones(3), 0.5),
+                               (1.0, np.ones(3), 0.5j), (np.complex64(1), np.ones(3), 0.5)):
+            y = np.full(2, 3.0)
+            with pytest.raises(TypeError, match="into a float64 y"):
+                skew_tridiag_gemv(y, alpha, a, t, x, beta)
+            assert np.array_equal(y, [3.0, 3.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex128])
+    def test_result_dtype_unchanged(self, dtype):
+        # NEP 50: a Python scalar takes the arrays' precision, a numpy scalar
+        # keeps its own; each scalar type gets its own rule
+        from skewltl.kernels3 import _check_product
+        a = RNG.standard_normal((5, 3)).astype(dtype)
+        t = SkewTridiagonal(RNG.standard_normal(2).astype(dtype))
+        x = RNG.standard_normal(3).astype(dtype)
+        for alpha in (-1, 1.5, np.float32(1.5), np.float64(1.5), np.array(1.5, np.float32),
+                      True):
+            for _ in range(2):  # once to fill the rule, once to read it
+                y = np.zeros(5, dtype=dtype)
+                got = _check_product(y, "y", alpha, 1, a, t.tau, x)
+                assert got == np.result_type(a, t.tau, x, alpha, 1)
+                skew_tridiag_gemv(y, alpha, a, t, x, 1)
+                want = alpha * a.dot(t.dense().dot(x))
+                assert y.dtype == dtype
+                assert np.allclose(y, want, rtol=1e-5, atol=1e-5)
+
+    def test_float32_y_numpy_alpha(self):
+        # a float32 y and a np.float32 alpha compute in float32, as before
+        a = RNG.standard_normal((4, 3)).astype(np.float32)
+        t = SkewTridiagonal(RNG.standard_normal(2).astype(np.float32))
+        x = RNG.standard_normal(3).astype(np.float32)
+        skew_tridiag_gemv(np.zeros(4), 2.0, a.astype(float), SkewTridiagonal(t.tau.astype(float)),
+                          x.astype(float), 1)
+        y = np.ones(4, dtype=np.float32)
+        skew_tridiag_gemv(y, np.float32(0.5), a, t, x, 1)
+        z = t.tau.dtype.type(0)
+        tx = np.array([z - t.tau[0] * x[1], t.tau[0] * x[0] - t.tau[1] * x[2], t.tau[1] * x[1]],
+                      dtype=np.float32)
+        assert y.dtype == np.float32
+        assert np.array_equal(y, np.float32(1) + np.float32(0.5) * (a @ tx))
+
+    def test_fraction_scalars(self):
+        # scalars numpy has no dtype for count as object: exact on object
+        # arrays, rejected on a float y
+        a = np.array([[Fraction(1, 2), Fraction(1)]], dtype=object)
+        t = SkewTridiagonal(np.array([Fraction(3)], dtype=object))
+        x = np.array([Fraction(1), Fraction(2)], dtype=object)
+        y = np.array([Fraction(1)], dtype=object)
+        skew_tridiag_gemv(y, Fraction(1, 3), a, t, x, Fraction(2))
+        assert y[0] == 2 + Fraction(1, 3) * (Fraction(1, 2) * -6 + 3)
+        yf = np.zeros(1)
+        with pytest.raises(TypeError, match="cannot write a object product into a float64 y"):
+            skew_tridiag_gemv(yf, Fraction(1, 3), np.ones((1, 2)), SkewTridiagonal(np.ones(1)),
+                              np.ones(2), 1)

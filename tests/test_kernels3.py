@@ -496,3 +496,35 @@ def test_triple_loop_validates_matmul_chain():
     t = RNG.standard_normal((k, k))
     b = RNG.standard_normal((k, q))
     assert np.allclose(dense_sandwich(a, t, b), sandwich_matmul(a, t, b))
+
+
+@pytest.mark.parametrize("kernel", ["rankk", "gemm", "gemm-tril", "rank2k"])
+@pytest.mark.parametrize("beta", [0.5, 0.0])
+def test_complex_product_into_real_c_rejected(kernel, beta):
+    # the product's dtype is checked before beta is applied, so C is left
+    # bitwise untouched (the Level 2 kernels are checked in test_kernels2)
+    n, k = NB + 9, 4
+    a = RNG.standard_normal((n, k)) + 1j
+    t = SkewTridiagonal(RNG.standard_normal(k - 1))
+    c0 = np.asfortranarray(RNG.standard_normal((n, n)))
+    c = c0.copy(order="F")
+    calls = {
+        "rankk": lambda: skew_tridiag_rankk(c, -1.0, a, t, beta),
+        "gemm": lambda: skew_tridiag_gemm(c, -1.0, a, t, a.real.T, beta),
+        "gemm-tril": lambda: skew_tridiag_gemm(c, -1.0, a.real, t, a.T, beta, tril=True),
+        "rank2k": lambda: skew_rank2k(c, 1.0, a.real, a, beta),
+    }
+    with pytest.raises(TypeError, match="cannot write a complex128 product into a float64 C"):
+        calls[kernel]()
+    assert c.tobytes() == c0.tobytes()
+
+
+def test_complex_tau_into_complex_c():
+    # a complex T with a real A packs in complex: nothing is dropped
+    n, k = 9, 4
+    a = RNG.standard_normal((n, k))
+    t = SkewTridiagonal(RNG.standard_normal(k - 1) + 1j)
+    c = np.zeros((n, n), dtype=complex, order="F")
+    skew_tridiag_rankk(c, -1.0, a, t, 1)
+    want = -sandwich_matmul(a, t.dense(), a.T)
+    assert np.allclose(c, np.tril(want, -1), rtol=1e-13, atol=1e-13)
