@@ -158,9 +158,9 @@ def laswp(block, pivots, forward):
     """Swap the rows of ``block`` (1-D or 2-D) in place with one ``?laswp``,
     the swaps of ``pivots`` in order (or in reverse when not ``forward``).
 
-    The offsets must already be validated: BLAS checks no bounds.  The block
-    must be NoTrans by ``_layout``.  A single column is taken as 1-D, so its
-    column stride, which BLAS never steps by, may be anything.
+    Offsets must be int64, checked by ``core._offsets``: BLAS checks no
+    bounds.  The block must be NoTrans by ``_layout``; a single column is
+    taken as 1-D, so its column stride, which BLAS never steps by, is free.
     """
     if block.ndim == 2 and block.shape[1] == 1:
         block = block[:, 0]

@@ -78,11 +78,11 @@ def pfaffian(x: SkewMatrixLower, b=None):
 
     Pf(T) for the tridiagonal factor is the product of (-tau[2r]) under the
     convention Pf([[0, a], [-a, 0]]) = a, and each nontrivial pivot flips
-    the sign.  Odd dimension gives exactly 0; m = 0 gives 1.  Exact scalar
-    types are preserved.  The floating-point product is rescaled by powers
-    of two where its partial products leave the normal range
-    (``_scaled_product``), so it raises OverflowError only when |Pf| itself
-    exceeds the largest finite value of the dtype.
+    the sign.  Odd dimension gives exactly 0 and m = 0 gives 1 (ints for
+    object x).  Exact scalar types are preserved.  The floating-point
+    product is rescaled by powers of two where its partial products leave
+    the normal range (``_scaled_product``), so it raises OverflowError only
+    when |Pf| itself exceeds the largest finite value of the dtype.
 
     The factorization is shared with ``solve``: the last one made is reused
     once, by the next call whose strictly-lower bytes, dtype and block size
@@ -92,10 +92,8 @@ def pfaffian(x: SkewMatrixLower, b=None):
     """
     m = x.m
     res = _factor(x, b, needed=m > 0 and m % 2 == 0)
-    if m == 0:
-        return 1.0
-    if m % 2:
-        return 0.0 if x.data.dtype != object else 0
+    if m == 0 or m % 2:
+        return (int if x.data.dtype == object else x.data.dtype.type)(m == 0)
     tau, sign = res.t.tau, res.p.sign()
     if tau.dtype == object:
         return math.prod(-tau[0::2], start=sign)

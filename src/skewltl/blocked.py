@@ -28,8 +28,8 @@ from .core import (InvalidVariant, PivotUnsupported, SkewMatrixLower,
                    SkewTridiagonal, form_s_splitting)
 from .instrument import FlopCounter, counting
 from .kernels2 import apply_row_pivots, skew_rank2, skew_tridiag_gemv
-from .kernels3 import (PANEL_NB, _clear_upper_band, _upper_scratch, form_w,
-                       skew_rank2k, skew_tridiag_gemm, skew_tridiag_rankk)
+from .kernels3 import (PANEL_NB, _upper_scratch, form_w, skew_rank2k,
+                       skew_tridiag_gemm, skew_tridiag_rankk)
 from .unblocked import FactorizationResult, _check_size, _finalize, _panel_ll, _workbuf
 
 DEFAULT_BLOCK = 256
@@ -197,7 +197,7 @@ def _right_looking(x, b, scheme, features, pivot):
     m = x.m
     pivots = np.zeros(m, dtype=np.int64) if pivot else None
     fc = FlopCounter()
-    with counting(fc), _upper_scratch():
+    with counting(fc), _upper_scratch(work):
         r = 0
         while r < m - 1:
             # a carried panel starts at the previous block's delayed transform
@@ -216,7 +216,6 @@ def _right_looking(x, b, scheme, features, pivot):
             if s.straggler:
                 _straggler(work, rt)
             r = rt
-    _clear_upper_band(work)
     return _finalize(work, tau, pivots, fc)
 
 

@@ -204,6 +204,7 @@ def cmd_bench(args):
                    for step, feats in LADDER.items()]
     else:
         configs = [(v, v, None) for v in variants]
+    threads = _blas.num_threads() or _omp_outer_threads()
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         out.write(f"# seed={args.seed}\n")
@@ -213,7 +214,7 @@ def cmd_bench(args):
                 for b in blocks:
                     sec, gf, l2, l3 = _bench_one(variant, m, b, args.pivot,
                                                  args.seed, args.reps, feats)
-                    out.write(f"{label},{m},{b},{args.threads},"
+                    out.write(f"{label},{m},{b},{threads},"
                               f"{int(args.pivot)},{sec:.6f},{gf:.3f},{l2},{l3}\n")
     finally:
         if args.out:
@@ -408,9 +409,6 @@ def build_parser():
                                  description="Skew-symmetric L T L^T factorization toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    blas_threads = ("the BLAS thread count comes from OPENBLAS_NUM_THREADS/OMP_NUM_THREADS "
-                    "at process start")
-
     fp = sub.add_parser("factor", help="factor one matrix and report the residual")
     fp.add_argument("--size", type=int, default=100)
     fp.add_argument("--seed", type=int, default=0)
@@ -421,7 +419,8 @@ def build_parser():
                   "--pivot, the drivers' own defaults)")
     fp.add_argument("--block", type=int, help=block_help)
     fp.add_argument("--pivot", action="store_true")
-    fp.add_argument("--threads", type=int, help=f"accepted and ignored; {blas_threads}")
+    fp.add_argument("--threads", type=int, help="accepted and ignored; the BLAS thread count "
+                    "comes from OPENBLAS_NUM_THREADS/OMP_NUM_THREADS at process start")
     fp.add_argument("--out", metavar="PREFIX", help="write L/tau/p files")
     fp.set_defaults(func=cmd_factor)
 
@@ -440,17 +439,11 @@ def build_parser():
     bp.add_argument("--variant", default="blk-var2b",
                     help="variant name or comma-separated list")
     bp.add_argument("--pivot", action="store_true")
-    threads = _blas.num_threads()
-    bp.add_argument("--threads", type=int,
-                    default=_omp_outer_threads() if threads is None else threads,
-                    help="value recorded in the CSV 'threads' column (default: the "
-                         "thread count numpy's OpenBLAS runs with, else the outer "
-                         f"level of OMP_NUM_THREADS, or 1); {blas_threads}")
     bp.add_argument("--reps", type=int, default=3)
     bp.add_argument("--seed", type=int, default=0)
     bp.add_argument("--out", metavar="PATH", help="CSV file (default stdout)")
     bp.add_argument("--opt-ladder", action="store_true",
-                    help="rerun each configuration across the optimization ladder")
+                    help="run ladder steps 0-4 on blk-var1, 5 on blk-var2b; ignores --variant")
     bp.set_defaults(func=cmd_bench)
     return ap
 

@@ -9,6 +9,8 @@ unchanged; the production path uses float64.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .instrument import add_flops
@@ -253,22 +255,18 @@ class PermutationVector:
 
     pi_k is a relative offset inside the remaining subvector: P(pi_k) swaps
     position k with position k + pi_k.  The factorization never computes
-    pi_0; it is fixed at zero.
+    pi_0; it is fixed at zero.  Offsets are int64, checked by ``_offsets``.
     """
 
     __slots__ = ("pivots", "m")
 
     def __init__(self, pivots, m):
-        self.pivots = np.asarray(pivots, dtype=np.int64)
-        if self.pivots.ndim != 1:
-            raise ValueError("pivots must be a vector")
+        self.pivots, bad = _offsets(pivots, m)
         if len(self.pivots) > m:
             raise ValueError("more pivots than rows")
         self.m = m
-        bad = np.flatnonzero((self.pivots < 0) | (self.pivots >= m - np.arange(len(self.pivots))))
-        if bad.size:
-            k = bad[0]
-            raise ValueError(f"pivot {self.pivots[k]} out of range at position {k}")
+        if bad is not None:
+            raise ValueError(f"pivot {pivots[bad]} out of range at position {bad}")
 
     def __len__(self):
         return len(self.pivots)
@@ -282,6 +280,18 @@ class PermutationVector:
         return -1 if self.nontrivial % 2 else 1
 
 
+def _offsets(pivots, n):
+    """The offset check: (int64 offsets, the first k where pi_k is not 0 or an
+    integer value in [0, n - k), else None); integral floats pass; 1-D only."""
+    p = np.asarray(pivots)
+    if p.ndim != 1:
+        raise ValueError("pivots must be a vector")
+    with np.errstate(invalid="ignore"):  # NaN and infinity fail q != p
+        q = p.astype(np.int64, copy=False)
+    bad = np.flatnonzero((q != p) | (q < 0) | ((q >= n - np.arange(len(q))) & (q != 0)))
+    return q, (int(bad[0]) if bad.size else None)
+
+
 def compose_permutation(p: PermutationVector) -> np.ndarray:
     """Dense permutation ``perm`` with (P(p) x)[i] = x[perm[i]].
 
@@ -293,14 +303,13 @@ def compose_permutation(p: PermutationVector) -> np.ndarray:
 
 def _swap_order(pivots, n):
     """``compose_permutation`` of the offsets ``pivots`` on n rows; raises
-    IndexError on an offset that leaves [k, n)."""
-    pivots = np.asarray(pivots)
+    IndexError, before any swap, on an offset ``_offsets`` rejects."""
+    pivots, bad = _offsets(pivots, n)
+    if bad is not None:
+        raise IndexError("pivot out of range")
     idx = list(range(n))
     nz = np.flatnonzero(pivots)
-    for k, off in zip(nz.tolist(), pivots[nz].tolist()):
-        j = k + off
-        if j >= n or off < 0:
-            raise IndexError("pivot out of range")
+    for k, j in zip(nz.tolist(), (nz + pivots[nz]).tolist()):
         idx[k], idx[j] = idx[j], idx[k]
     return np.array(idx, dtype=np.intp)
 
@@ -340,7 +349,8 @@ def _sym_swap_lower(buf, a, b):
 
 
 def apply_symmetric_pivot(x: SkewMatrixLower, k, pi):
-    """In place: X := P X P^T for the transposition (k, k + pi)."""
+    """In place: X := P X P^T for the transposition (k, k + pi), integers."""
+    k, pi = operator.index(k), operator.index(pi)
     if pi == 0:
         return
     if pi < 0 or k < 0 or k + pi >= x.m:

@@ -99,15 +99,15 @@ def apply_row_pivots(block, p, forward=True):
     panel's interchanges to the columns left of it.  Blocks BLAS cannot take
     (exact scalars, rows that are not unit-strided, read-only views) are
     permuted by one gather of the rows that change place instead, so each
-    moved element is copied once.  Offsets are checked before any row moves.
+    moved element is copied once.  ``_swap_order`` checks offsets first.
     """
     n, q = block.shape if block.ndim == 2 else (block.shape[0], 1)
-    pivots = p.pivots if hasattr(p, "pivots") else np.asarray(p)
+    pivots = np.asarray(p.pivots if hasattr(p, "pivots") else p)
     idx = _swap_order(pivots, n)
     rows = np.flatnonzero(idx != np.arange(n))
     instrument.record_call("apply_row_pivots")
     instrument.add_flops("pivot", rows.size * q)
-    if not rows.size or not q or _blas.laswp(block, pivots, forward):
+    if not rows.size or not q or _blas.laswp(block, pivots.astype(np.int64), forward):
         return
     if not forward:
         idx = invert_permutation(idx)

@@ -21,13 +21,12 @@ dtypes, rows of C that are not unit-strided) are updated in ``NB``-row
 chunks with plain matmuls.  The rank-2 kernels ``skew_rank2`` and
 ``gen_rank2`` of ``kernels2`` run on this sweep with k = 1.
 
-Inside a blocked driver's block loop (``_upper_scratch``), where nothing
-reads the work buffer on or above its diagonal, the sweep sends each whole
-block column, diagonal tile included, to one ``?gemm``: the tile's
+Inside a blocked driver's block loop (``_upper_scratch(work)``), where
+nothing reads the work buffer on or above its diagonal, the sweep sends each
+whole block column, diagonal tile included, to one ``?gemm``: the tile's
 temporary and masked add go, and the tile's upper part takes garbage that
-the driver clears (``_clear_upper_band``) before it returns.  Public calls,
-other threads, exact scalars and operands BLAS declines keep the masked
-tile.
+the scope zeroes again when it exits.  Public calls, other threads, exact
+scalars and operands BLAS declines keep the masked tile.
 
 Every kernel checks the dtype of its product against C before writing
 anything (``_check_product``): a complex product into a real C raises
@@ -38,13 +37,13 @@ from __future__ import annotations
 
 import functools
 import operator
+from contextlib import contextmanager
 from contextvars import ContextVar
 
 import numpy as np
 
 from . import _blas, instrument
 from .core import SkewTridiagonal, _pack_t
-from .instrument import _bound
 
 # Block-column width of the sweep, and the row-chunk height of its matmul
 # fallback (where a full-height temporary was about 35% slower).  With the
@@ -63,16 +62,17 @@ NB = 256
 PANEL_NB = 32
 
 
-#: True only inside a blocked driver's block loop (``_upper_scratch``); a
-#: context variable, so other threads and every public call see False.
+#: True only inside ``_upper_scratch``: other threads and public calls see False.
 _full_tile = ContextVar("skewltl_full_tile", default=False)
 
 
-def _upper_scratch():
-    """Let ``_sweep`` write on and above C's diagonal for the enclosed calls:
-    the caller must not read there, and clears it with
-    ``_clear_upper_band``."""
-    return _bound(_full_tile, True)
+@contextmanager
+def _upper_scratch(work):
+    """Let ``_sweep`` write on and above the diagonal of ``work`` for the
+    enclosed calls; zero that band on normal exit, not on an exception."""
+    with instrument._bound(_full_tile, True):
+        yield
+    _clear_upper_band(work)
 
 
 def _clear_upper_band(work):

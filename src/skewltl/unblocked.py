@@ -11,8 +11,8 @@ input is not read on or above its diagonal.  The buffer is returned as
 ``L.data``; on and above its diagonal it is not part of L.  Inside a blocked
 driver's block loop the band of ``kernels3.NB`` entries on and above the
 diagonal is scratch, which the trailing updates' full-tile sweep writes and
-nothing reads; the driver zeroes it again before it returns, so ``L.data``
-is zero there on return.  Once column g is
+nothing reads; the loop's scratch scope (``kernels3._upper_scratch``) zeroes
+it when it exits, so ``L.data`` is zero there on return.  Once column g is
 eliminated, buffer column g holds column g+1 of L shifted one column left,
 its unit entry an explicit 1.0 in the subdiagonal slot (tau[g] is kept in
 its own vector), so a finished panel is directly consumable as the A operand

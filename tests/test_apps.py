@@ -70,6 +70,15 @@ class TestPfaffian:
     def test_empty(self):
         assert pfaffian(SkewMatrixLower.zeros(0)) == 1.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex128, object])
+    def test_trivial_sizes_keep_scalar_type(self, dtype):
+        # 1 at m = 0 and 0 at odd m: an int for object input, else x's own
+        # scalar type, as at even m > 0
+        want = int if dtype is object else dtype
+        for m, value in [(0, 1), (1, 0), (3, 0)]:
+            got = pfaffian(SkewMatrixLower.zeros(m, dtype=dtype))
+            assert type(got) is want and got == value
+
     def test_zero_block_rejected(self):
         with pytest.raises(ValueError, match="block size must be >= 1"):
             pfaffian(random_skew(4, seed=1), b=0)

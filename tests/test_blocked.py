@@ -20,7 +20,7 @@ from skewltl import (LADDER, Features, PivotUnsupported, SkewMatrixLower, ZeroPi
                      ltlt_unb_ll, ltlt_unb_panel, ltlt_unb_rl, ltlt_unb_twostep,
                      pfaffian, random_skew, reconstruct, solve)
 from skewltl import blocked, instrument, unblocked
-from skewltl.blocked import LADDER_VARIANT
+from skewltl.blocked import DEFAULT_PIVOT_BLOCK, LADDER_VARIANT
 from skewltl.cli import VARIANT_NAMES, run_variant
 from skewltl.core import (InvalidVariant, SkewTridiagonal, UnitLowerFactor,
                           compose_permutation)
@@ -743,12 +743,15 @@ class TestMappedWorkBuffer:
         # driver clears its unfactored columns, below the diagonal only
         x = random_skew(2100, seed=41)
         shmem = _status_kb("RssShmem")
-        for run in (ltlt_blk_var2b, lambda x: ltlt_unb_panel(x, 32)):
+        for run in (ltlt_blk_var2b, lambda x: ltlt_unb_panel(x, 32),
+                    lambda x: ltlt_blk_piv(x, DEFAULT_PIVOT_BLOCK, fused="var2b")):
             r = run(x)
             assert _mapping(r.l.data) is not None
             size, rss = _smaps_entry(r.l.data.ctypes.data)
             assert size >= r.l.data.nbytes // 1024
             assert rss <= 0.8 * size
+            # read after Rss: a read maps untouched pages to the zero page
+            assert not np.triu(r.l.data).any()
             del r
         # a shared mapping would be shmem: about 24 MiB of it here
         assert _status_kb("RssShmem") - shmem < 1024
@@ -827,6 +830,29 @@ class TestFullTileSweep:
             if not np.array_equal(c[upper], c0[upper]) or np.array_equal(c, c0):
                 return False
         return True
+
+    def test_scope_zeroes_band_on_exit(self):
+        # the scope alone zeroes what the full-tile sweep wrote on and above
+        # the diagonal; on an exception it only resets the switch
+        from skewltl import kernels3
+        from skewltl.kernels3 import _upper_scratch, skew_tridiag_rankk
+        rng = np.random.Generator(np.random.Philox(64))
+        n, k = 40, 6
+        a, t = rng.standard_normal((n, k)), SkewTridiagonal(rng.standard_normal(k - 1))
+        upper = ~np.tri(n, k=-1, dtype=bool)
+        ref = np.zeros((n, n), order="F")
+        skew_tridiag_rankk(ref, -1.0, a, t, 1)
+        work = np.zeros((n, n), order="F")
+        with _upper_scratch(work):
+            skew_tridiag_rankk(work, -1.0, a, t, 1)
+            assert work[upper].any()
+        assert not work[upper].any()
+        assert np.allclose(work, ref, rtol=1e-14, atol=1e-14)
+        with pytest.raises(KeyError), _upper_scratch(work):
+            skew_tridiag_rankk(work, -1.0, a, t, 1)
+            raise KeyError("stop")
+        assert not kernels3._full_tile.get()
+        assert work[upper].any()
 
     def test_after_driver_raised(self):
         # a zero pivot in column 12, in var2b's second panel (b = 8): the

@@ -9,10 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from skewltl import (InvalidVariant, PivotUnsupported, SkewMatrixLower, ltlt_blk_left,
-                     ltlt_blk_piv, ltlt_blk_twostep, ltlt_blk_var1, ltlt_blk_var2a,
-                     ltlt_blk_var2b, ltlt_unb_ll, ltlt_unb_rl, ltlt_unb_twostep, mm_write,
-                     random_skew)
+from skewltl import (InvalidVariant, PermutationVector, PivotUnsupported, SkewMatrixLower,
+                     ltlt_blk_left, ltlt_blk_piv, ltlt_blk_twostep, ltlt_blk_var1,
+                     ltlt_blk_var2a, ltlt_blk_var2b, ltlt_unb_ll, ltlt_unb_rl,
+                     ltlt_unb_twostep, mm_write, random_skew, reconstruct)
 from skewltl import _blas, cli
 from skewltl.blocked import DEFAULT_BLOCK, DEFAULT_PIVOT_BLOCK
 from skewltl.cli import VARIANT_NAMES, main, run_variant
@@ -85,6 +85,20 @@ class TestFactor:
         piv = np.loadtxt(prefix + ".p.txt", dtype=int)
         assert tau.shape == (11,)
         assert piv.shape == (12,)
+
+    def test_factor_files_round_trip(self, capsys, tmp_path):
+        # the .p.txt offsets, read back as np.loadtxt's float64, rebuild the
+        # in-process factorization's P
+        prefix = str(tmp_path / "fac")
+        code, _, _ = run(capsys, "factor", "--size", "40", "--variant", "blk-var2b",
+                         "--pivot", "--out", prefix)
+        assert code == 0
+        res = ltlt_blk_piv(random_skew(40, seed=0), fused="var2b")
+        assert res.p.nontrivial
+        piv = np.loadtxt(prefix + ".p.txt")
+        assert piv.dtype == np.float64
+        got = reconstruct(res.l, res.t, PermutationVector(piv, 40))
+        assert got.data.tobytes() == reconstruct(res.l, res.t, res.p).data.tobytes()
 
     def test_residual_finite_near_overflow(self, capsys, tmp_path):
         # squaring entries of 1e300 overflows an unscaled Frobenius norm
@@ -254,7 +268,7 @@ class TestBench:
 
     def test_reproducible_single_thread(self, capsys):
         args = ["bench", "--size", "48", "--block", "8", "--reps", "1",
-                "--variant", "blk-var2b", "--seed", "11", "--threads", "1"]
+                "--variant", "blk-var2b", "--seed", "11"]
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         # timing columns differ; flop counts and schema must not
@@ -352,6 +366,18 @@ def test_bench_threads_column_is_blas_count(capsys, monkeypatch, fields):
     assert n is not None and n >= 1
     monkeypatch.setenv("OMP_NUM_THREADS", fields.format(n + 1))
     assert bench_threads_column(capsys) == [str(n)]
+
+
+def test_bench_threads_option_removed(capsys):
+    # the threads column records the measured count; no option sets it
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--size", "16", "--threads", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--help"])
+    assert exc.value.code == 0
+    assert "--threads" not in capsys.readouterr().out
 
 
 def test_bench_threads_fallback(capsys, monkeypatch):

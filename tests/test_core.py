@@ -14,6 +14,7 @@ from skewltl import (PermutationVector, SkewMatrixLower, SkewTridiagonal,
 from skewltl import ltlt_blk_piv, ltlt_unb_ll
 from skewltl.core import (UnitLowerFactor, _swap_order, _sym_swap_lower,
                           invert_permutation)
+from skewltl.kernels2 import apply_row_pivots
 
 from helpers import worked_example
 
@@ -154,6 +155,15 @@ class TestSymmetricPivot:
         with pytest.raises(IndexError):
             apply_symmetric_pivot(x, 2, 2)
 
+    @pytest.mark.parametrize("k, pi", [(0, 1.5), (1.5, 0), (np.float64(1), 1)])
+    def test_non_integer_index_rejected(self, k, pi):
+        # read through operator.index, as a block size is
+        x = random_skew(4, seed=0)
+        before = x.data.copy()
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            apply_symmetric_pivot(x, k, pi)
+        assert np.array_equal(x.data, before)
+
 
 class TestSymSwapStrides:
     """``_sym_swap_lower`` at row strides of 8 float64 or 4 float32 items.
@@ -236,6 +246,36 @@ class TestPermutation:
         got = _swap_order(pivots, n)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [0.5, 0.9, np.nan, np.inf])
+    def test_non_integral_offset_rejected(self, bad):
+        # each entry point raises its out-of-range error before any row moves,
+        # though the valid swap at position 0 comes first
+        pivots = np.array([1.0, bad, 0.0])
+        with pytest.raises(ValueError, match="^pivot .+ out of range at position 1$"):
+            PermutationVector(pivots, 3)
+        p = PermutationVector(np.zeros(3, dtype=np.int64), 3)
+        p.pivots = pivots
+        with pytest.raises(IndexError, match="^pivot out of range$"):
+            compose_permutation(p)
+        for dtype in (np.float64, object):  # the ?laswp path and the gather
+            block = np.arange(6).reshape(3, 2).astype(dtype, order="F")
+            before = block.copy()
+            with pytest.raises(IndexError, match="^pivot out of range$"):
+                apply_row_pivots(block, pivots)
+            assert np.array_equal(block, before)
+
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float64, object])
+    def test_integral_float_offsets(self, dtype, forward):
+        # offsets read back with np.loadtxt's default dtype move the same rows
+        pivots = np.array([2, 0, 1, 0])
+        want = np.arange(8).reshape(4, 2).astype(dtype, order="F")
+        got = want.copy(order="F")
+        apply_row_pivots(want, pivots, forward)
+        apply_row_pivots(got, pivots.astype(np.float64), forward)
+        assert np.array_equal(got, want)
+        assert not np.array_equal(want, np.arange(8).reshape(4, 2))
 
     def test_sign(self):
         assert PermutationVector(np.array([0, 0]), 4).sign() == 1
