@@ -39,7 +39,6 @@ DEFAULT_BLOCK = 256
 #: adds trailing updates; LAPACK's Aasen takes 64 for the same reason.
 #: Measured with pivoted var2b, one BLAS thread (README: "Block size").
 DEFAULT_PIVOT_BLOCK = 128
-PIVOTED_FUSED = ("var1", "var2a", "var2b")
 
 
 @dataclass(frozen=True)
@@ -75,12 +74,6 @@ LADDER = {
     "step5": Features(fused_l2=True, external_t=True, fused_l3=True),
 }
 LADDER_VARIANT = {name: ("blk-var2b" if name == "step5" else "blk-var1") for name in LADDER}
-
-
-def _require_external_t(f, who):
-    if not f.external_t:
-        raise InvalidVariant(f"{who} has no split trailing update: it needs "
-                             "Features(external_t=True)")
 
 
 def _run_panel(work, tau, lo, base, nelim, f, pivots=None):
@@ -155,30 +148,32 @@ def _split_trailing(work, tau, r, rt, f):
 
 @dataclass(frozen=True)
 class _Schedule:
-    """How one blocked driver's iterations differ from the others'."""
+    """How one blocked driver's iterations differ from the others', and whether it pivots."""
 
-    name: str          # driver name in error messages
-    extra_first: bool  # the first panel eliminates b + 1 columns (2b)
-    carry: bool        # each panel's last transform joins the next sandwich
-    straggler: bool    # trailing rank-2 of each panel's last transform (var1)
-    rank2k: bool       # sandwich as W = A S plus a skew rank-2k (two-step)
-    left: bool = False  # couplings pulled in from the left, no trailing update
+    name: str                  # driver name in error messages
+    extra_first: bool = False  # the first panel eliminates b + 1 columns (2b)
+    carry: bool = False        # each panel's last transform joins the next sandwich
+    straggler: bool = False    # trailing rank-2 of each panel's last transform (var1)
+    rank2k: bool = False       # sandwich as W = A S plus a skew rank-2k (two-step)
+    left: bool = False         # couplings pulled in from the left, no trailing update
+    no_pivot: str = ""         # PivotUnsupported message of a schedule that cannot pivot
+
+    def refuse_pivot(self, pivot):
+        if pivot and self.no_pivot:
+            raise PivotUnsupported(self.no_pivot)
 
 
-#: The one place the blocked drivers differ; pivoting is the ``pivot``
-#: argument of the shared loop.
+#: The one place the blocked drivers differ, whether they pivot included.
 _SCHEDULES = {
-    "var1": _Schedule("blk-var1", extra_first=False, carry=False, straggler=True,
-                      rank2k=False),
-    "var2a": _Schedule("blk-var2a", extra_first=False, carry=True, straggler=False,
-                       rank2k=False),
-    "var2b": _Schedule("blk-var2b", extra_first=True, carry=True, straggler=False,
-                       rank2k=False),
-    "twostep": _Schedule("blk-2step", extra_first=False, carry=True, straggler=False,
-                         rank2k=True),
-    "left": _Schedule("blk-left", extra_first=False, carry=True, straggler=False,
-                      rank2k=False, left=True),
+    "var1": _Schedule("blk-var1", straggler=True),
+    "var2a": _Schedule("blk-var2a", carry=True),
+    "var2b": _Schedule("blk-var2b", extra_first=True, carry=True),
+    "twostep": _Schedule("blk-2step", carry=True, rank2k=True,
+                         no_pivot="blk-2step has no pivoted path; use blk-var2a/blk-var2b"),
+    "left": _Schedule("blk-left", carry=True, left=True,
+                      no_pivot="a blocked pivoted left-looking algorithm cannot exist"),
 }
+PIVOTED_FUSED = tuple(k for k, s in _SCHEDULES.items() if not s.no_pivot)
 
 
 def _right_looking(x, b, scheme, features, pivot):
@@ -186,13 +181,13 @@ def _right_looking(x, b, scheme, features, pivot):
     directs: factor a panel, then apply one sandwiched trailing update (or,
     left-looking, first pull all finished couplings into the panel's block
     column with one trapezoidal product, and update nothing to its right)."""
-    if pivot and scheme not in PIVOTED_FUSED:
-        raise InvalidVariant(f"fused must be one of {PIVOTED_FUSED}, got {scheme!r}")
     s = _SCHEDULES[scheme]
+    s.refuse_pivot(pivot)
     _check_size(b, "block size")
     f = features or Features()
-    if s.carry:
-        _require_external_t(f, ("pivoted " if pivot else "") + s.name)
+    if s.carry and not f.external_t:
+        raise InvalidVariant(f"{'pivoted ' if pivot else ''}{s.name} has no split "
+                             "trailing update: it needs Features(external_t=True)")
     work, tau = _workbuf(x)
     m = x.m
     pivots = np.zeros(m, dtype=np.int64) if pivot else None
@@ -253,11 +248,9 @@ def ltlt_blk_left(x: SkewMatrixLower, b=DEFAULT_BLOCK, pivot=False,
 
     Pivoting is impossible at the blocked level: selecting the columns to
     pivot into the panel would require updates that depend on pivots not
-    yet chosen.
+    yet chosen, so ``pivot=True`` raises ``PivotUnsupported`` first.
     """
-    if pivot:
-        raise PivotUnsupported("a blocked pivoted left-looking algorithm cannot exist")
-    return _right_looking(x, b, "left", features, pivot=False)
+    return _right_looking(x, b, "left", features, pivot)
 
 
 def ltlt_blk_twostep(x: SkewMatrixLower, b=DEFAULT_BLOCK,
@@ -282,6 +275,9 @@ def ltlt_blk_piv(x: SkewMatrixLower, b=DEFAULT_PIVOT_BLOCK, fused="var1",
 
     The block ``b`` defaults to ``DEFAULT_PIVOT_BLOCK``, smaller than the
     unpivoted drivers' ``DEFAULT_BLOCK``: the pivoted panel runs column by
-    column, so its cost grows with b.
+    column, so its cost grows with b.  A ``fused`` outside ``PIVOTED_FUSED``,
+    the schedules that pivot, raises ``InvalidVariant`` first.
     """
+    if fused not in PIVOTED_FUSED:
+        raise InvalidVariant(f"fused must be one of {PIVOTED_FUSED}, got {fused!r}")
     return _right_looking(x, b, fused, features, pivot=True)

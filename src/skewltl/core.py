@@ -9,6 +9,7 @@ unchanged; the production path uses float64.
 
 from __future__ import annotations
 
+import numbers
 import operator
 
 import numpy as np
@@ -282,11 +283,17 @@ class PermutationVector:
 
 def _offsets(pivots, n):
     """The offset check: (int64 offsets, the first k where pi_k is not 0 or an
-    integer value in [0, n - k), else None); integral floats pass; 1-D only."""
+    integer value in [0, n - k), else None); 1-D only.  By dtype kind, before any
+    cast: bool/int/float by value, object entry by entry, other kinds fail at 0."""
     p = np.asarray(pivots)
     if p.ndim != 1:
         raise ValueError("pivots must be a vector")
-    with np.errstate(invalid="ignore"):  # NaN and infinity fail q != p
+    with np.errstate(invalid="ignore"):  # NaN and infinity fail as not integral
+        if p.dtype.kind == "O":  # an integral real number, else -1, which fails
+            p = np.array([int(v) if isinstance(v, numbers.Real) and v == v // 1
+                          and 0 <= v < 2**63 else -1 for v in p.tolist()], dtype=np.int64)
+        elif p.dtype.kind not in "biuf":  # complex, strings, dates, ...
+            p = np.full(len(p), -1, dtype=np.int64)
         q = p.astype(np.int64, copy=False)
     bad = np.flatnonzero((q != p) | (q < 0) | ((q >= n - np.arange(len(q))) & (q != 0)))
     return q, (int(bad[0]) if bad.size else None)
@@ -302,7 +309,12 @@ def compose_permutation(p: PermutationVector) -> np.ndarray:
 
 
 def _swap_order(pivots, n):
-    """``compose_permutation`` of the offsets ``pivots`` on n rows; raises
+    """``compose_permutation`` of the offsets ``pivots`` on n rows."""
+    return _checked_swaps(pivots, n)[1]
+
+
+def _checked_swaps(pivots, n):
+    """(the int64 offsets ``_offsets`` returns, their ``_swap_order``); raises
     IndexError, before any swap, on an offset ``_offsets`` rejects."""
     pivots, bad = _offsets(pivots, n)
     if bad is not None:
@@ -311,7 +323,7 @@ def _swap_order(pivots, n):
     nz = np.flatnonzero(pivots)
     for k, j in zip(nz.tolist(), (nz + pivots[nz]).tolist()):
         idx[k], idx[j] = idx[j], idx[k]
-    return np.array(idx, dtype=np.intp)
+    return pivots, np.array(idx, dtype=np.intp)
 
 
 def invert_permutation(perm: np.ndarray) -> np.ndarray:
@@ -378,11 +390,14 @@ def pack_in_place(x: SkewMatrixLower, l: UnitLowerFactor, t: SkewTridiagonal):
 
     The subdiagonal of x receives tau, and column j of L (j >= 1) lands in
     column j-1 strictly below the subdiagonal.  The strictly-lower triangle
-    then holds exactly the non-unit, non-zero content of L and T.
+    then holds exactly the non-unit, non-zero content of L and T.  It has no
+    slot for a first column of L other than e_0: one raises ValueError.
     """
     m = x.m
     if l.m != m or t.m != m:
         raise ValueError("dimension mismatch")
+    if l.first_column is not None and np.any(l.first_column):
+        raise ValueError("the packed layout holds no first column of L other than e_0")
     buf = x.data
     np.copyto(buf, l.data, casting="unsafe", where=np.tri(m, k=-2, dtype=bool))
     np.fill_diagonal(buf[1:], t.tau)

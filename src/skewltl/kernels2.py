@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _blas, instrument
-from .core import SkewTridiagonal, _pack_t, _swap_order, invert_permutation
+from .core import SkewTridiagonal, _checked_swaps, _pack_t, invert_permutation
 from .kernels3 import _check_product, _scale, _skew_sweep, _sweep
 
 
@@ -60,7 +60,7 @@ def gen_rank2(a, alpha, x, u, y, v, beta=1):
     _sweep(a, np.column_stack((x, y)), lambda jc, j1: uv[:, jc:j1], alpha, tril=False)
 
 
-def skew_tridiag_gemv(y, alpha, a, t: SkewTridiagonal, x, beta=1, fused=True):
+def skew_tridiag_gemv(y, alpha, a, t: SkewTridiagonal, x, beta=1, *, fused=True):
     """y := beta*y + alpha * A (T x), with one row of ``a`` per entry of y
     (a caller inside a larger buffer passes the strided view of its rows).
     A product whose dtype y cannot hold under ``same_kind`` casting (complex
@@ -68,7 +68,7 @@ def skew_tridiag_gemv(y, alpha, a, t: SkewTridiagonal, x, beta=1, fused=True):
 
     The tridiagonal multiply is a cheap O(k) pass over x, in the dtype of
     tau and x together; with ``fused=False`` T is materialized densely first
-    (ladder baseline).
+    (ladder baseline); ``fused`` is keyword-only, as in ``kernels3``.
     """
     p, k = a.shape
     if t.m != k or len(x) != k or len(y) != p:
@@ -99,15 +99,15 @@ def apply_row_pivots(block, p, forward=True):
     panel's interchanges to the columns left of it.  Blocks BLAS cannot take
     (exact scalars, rows that are not unit-strided, read-only views) are
     permuted by one gather of the rows that change place instead, so each
-    moved element is copied once.  ``_swap_order`` checks offsets first.
+    moved element is copied once.  ``core._offsets`` checks offsets first
+    (IndexError, before any row moves); ``?laswp`` gets its int64 result.
     """
     n, q = block.shape if block.ndim == 2 else (block.shape[0], 1)
-    pivots = np.asarray(p.pivots if hasattr(p, "pivots") else p)
-    idx = _swap_order(pivots, n)
+    pivots, idx = _checked_swaps(p.pivots if hasattr(p, "pivots") else p, n)
     rows = np.flatnonzero(idx != np.arange(n))
     instrument.record_call("apply_row_pivots")
     instrument.add_flops("pivot", rows.size * q)
-    if not rows.size or not q or _blas.laswp(block, pivots.astype(np.int64), forward):
+    if not rows.size or not q or _blas.laswp(block, pivots, forward):
         return
     if not forward:
         idx = invert_permutation(idx)

@@ -207,6 +207,38 @@ class TestLeftLooking:
         assert tr.count("skew_tridiag_gemm", "trailing") == sum(r >= 2 for r in starts)
 
 
+#: schedule row -> its PivotUnsupported message, for the rows with no pivoted form
+REFUSED = {"twostep": "blk-2step has no pivoted path; use blk-var2a/blk-var2b",
+           "left": "a blocked pivoted left-looking algorithm cannot exist"}
+
+
+@pytest.mark.parametrize("scheme", list(blocked._SCHEDULES))
+def test_every_schedule_pivots_or_refuses(scheme):
+    # through the CLI dispatch, each row either pivots as ltlt_blk_piv with
+    # its scheme, or refuses with its own message; ltlt_blk_piv itself takes
+    # only the rows that pivot
+    x = random_skew(20, seed=34)
+    variant = blocked._SCHEDULES[scheme].name
+    if scheme in REFUSED:
+        with pytest.raises(PivotUnsupported, match=f"^{re.escape(REFUSED[scheme])}$"):
+            run_variant(variant, x, block=4, pivot=True)
+        with pytest.raises(InvalidVariant, match="fused must be one of"):
+            ltlt_blk_piv(x, b=4, fused=scheme)
+        return
+    got = run_variant(variant, x, block=4, pivot=True)
+    want = ltlt_blk_piv(x, b=4, fused=scheme)
+    assert got.p.nontrivial
+    assert np.array_equal(got.p.pivots, want.p.pivots)
+    assert got.l.data.tobytes() == want.l.data.tobytes()
+    assert np.array_equal(got.t.tau, want.t.tau)
+    assert scheme in blocked.PIVOTED_FUSED
+
+
+def test_left_looking_pivot_refused_before_block_check():
+    with pytest.raises(PivotUnsupported, match="cannot exist"):
+        ltlt_blk_left(random_skew(8, seed=0), b=1.5, pivot=True)
+
+
 class TestTwoStepBlocked:
     def test_zero_tau_panel_noop_trailing(self):
         # X built so the first panel's taus are all zero: W = 0, trailing

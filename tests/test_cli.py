@@ -381,20 +381,11 @@ def test_bench_threads_option_removed(capsys):
 
 
 def test_bench_threads_fallback(capsys, monkeypatch):
-    # where OpenBLAS cannot report its count, the outer level is recorded
+    # where OpenBLAS cannot report its count, the field is left empty: no
+    # environment variable is read in its place
     monkeypatch.setattr(_blas, "num_threads", lambda: None)
     monkeypatch.setenv("OMP_NUM_THREADS", "3,1")
-    assert bench_threads_column(capsys) == ["3"]
-
-
-@pytest.mark.parametrize("value,threads", [("3", 3), ("2,1", 2), ("", 1), ("x", 1),
-                                           (",4", 1), (None, 1)])
-def test_bench_threads_default(monkeypatch, value, threads):
-    if value is None:
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("OMP_NUM_THREADS", value)
-    assert cli._omp_outer_threads() == threads
+    assert bench_threads_column(capsys) == [""]
 
 
 #: CLI variant -> (unpivoted direct call, pivoted direct call or None)

@@ -277,6 +277,53 @@ class TestPermutation:
         assert np.array_equal(got, want)
         assert not np.array_equal(want, np.arange(8).reshape(4, 2))
 
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint64, np.float64, object])
+    def test_offsets_of_every_numeric_kind(self, dtype, forward):
+        # each kind moves the same rows as int64, on the ?laswp path and the gather
+        pivots = np.array([2, 0, 1, 0])
+        p = PermutationVector(pivots.astype(dtype), 4)
+        assert p.pivots.dtype == np.int64 and np.array_equal(p.pivots, pivots)
+        assert np.array_equal(compose_permutation(p), _swap_order(pivots, 4))
+        for block_dtype in (np.float64, object):
+            want = np.arange(8).reshape(4, 2).astype(block_dtype, order="F")
+            got = want.copy(order="F")
+            apply_row_pivots(want, pivots, forward)
+            apply_row_pivots(got, pivots.astype(dtype), forward)
+            assert np.array_equal(got, want)
+
+    def test_bool_offsets(self):
+        pivots = np.array([False, True, False])
+        assert np.array_equal(PermutationVector(pivots, 3).pivots, [0, 1, 0])
+        block = np.arange(6.0).reshape(3, 2).copy(order="F")
+        apply_row_pivots(block, pivots)
+        assert np.array_equal(block, np.arange(6.0).reshape(3, 2)[[0, 2, 1]])
+
+    @pytest.mark.parametrize("pivots, position", [
+        (np.array([0, 1 + 0j]), 0),
+        (np.array([1 + 0j, 0]), 0),
+        (np.array([0, 1 + 1j]), 0),
+        (np.array([1, float("nan"), 0], dtype=object), 1),
+        (np.array([1, 1.5, 0], dtype=object), 1),
+        (np.array([1, "1", 0], dtype=object), 1),
+    ], ids=["complex", "complex-first", "complex-imag", "object-nan", "object-1.5",
+            "object-str"])
+    def test_offsets_rejected_by_kind(self, pivots, position):
+        # every entry point raises its own out-of-range error, with no numpy
+        # warning (the suite runs under -W error), before any row moves
+        with pytest.raises(ValueError, match=f"^pivot .+ out of range at position {position}$"):
+            PermutationVector(pivots, 3)
+        p = PermutationVector(np.zeros(3, dtype=np.int64), 3)
+        p.pivots = pivots
+        with pytest.raises(IndexError, match="^pivot out of range$"):
+            compose_permutation(p)
+        for dtype in (np.float64, object):  # the ?laswp path and the gather
+            block = np.arange(6).reshape(3, 2).astype(dtype, order="F")
+            before = block.copy()
+            with pytest.raises(IndexError, match="^pivot out of range$"):
+                apply_row_pivots(block, pivots)
+            assert block.tobytes() == before.tobytes()
+
     def test_sign(self):
         assert PermutationVector(np.array([0, 0]), 4).sign() == 1
         assert PermutationVector(np.array([0, 2, 1]), 4).sign() == 1
@@ -336,6 +383,23 @@ class TestPack:
         l2, t2 = unpack_in_place(box)
         assert np.array_equal(t2.tau, r.t.tau)
         assert np.array_equal(l2.dense(), r.l.dense())
+
+    def test_first_column_refused(self):
+        # the packed layout keeps no first column of L: one other than e_0 is
+        # refused before anything is written, and e_0 itself packs as always
+        m = 6
+        x = random_skew(m, seed=13)
+        fc = np.array([0.0, 0.5, -0.25, 0.0, 1.0])
+        r = ltlt_unb_ll(x, first_column=fc)
+        box = x.copy()
+        with pytest.raises(ValueError, match="first column"):
+            pack_in_place(box, r.l, r.t)
+        assert box.data.tobytes() == x.data.tobytes()
+        zero = ltlt_unb_ll(x, first_column=np.zeros(m - 1))
+        pack_in_place(box, zero.l, zero.t)
+        l2, t2 = unpack_in_place(box)
+        assert np.array_equal(t2.tau, zero.t.tau)
+        assert np.array_equal(l2.dense(), zero.l.dense())
 
 
 @pytest.mark.parametrize("call, match", [

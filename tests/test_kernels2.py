@@ -193,6 +193,17 @@ class TestSkewTridiagGemv:
         skew_tridiag_gemv(y, 1.5, a[r0:], t, x, 0.5, fused=fused)
         assert np.allclose(y, want, rtol=1e-13, atol=1e-13)
 
+    def test_fused_keyword_only(self):
+        # as in kernels3's sandwiched kernels: a seventh positional argument
+        # is refused, so it can never be read as anything but ``fused``
+        y = np.zeros(2)
+        a, t, x = np.ones((2, 3)), SkewTridiagonal(np.array([1.0, 2.0])), np.array([1.0, 0, 1])
+        with pytest.raises(TypeError, match="positional argument"):
+            skew_tridiag_gemv(y, 1.0, a, t, x, 0.0, False)
+        assert np.array_equal(y, np.zeros(2))
+        skew_tridiag_gemv(y, 1.0, a, t, x, 0.0, fused=False)
+        assert np.array_equal(y, [-1.0, -1.0])
+
 
 @pytest.mark.parametrize("kernel", ["skew_rank2", "gen_rank2", "gemv", "gemv-unfused"])
 def test_beta_zero_reads_no_output(kernel):
